@@ -23,6 +23,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from itertools import chain, islice
 
 from . import confinement, fpdynamics, tau
 from .errors import Dp2Error
@@ -116,13 +117,19 @@ class _ScalarParams:
         self.a, self.delta, self.z0 = a, delta, z0
 
 
+def _residue_text(value) -> str:
+    return "inf" if value is None else str(value)
+
+
 def _cmd_evolve(args):
+    """The first --steps values, then the same orbit continued until a
+    state repeats, for the period; every value is computed once."""
     check_odd_prime(args.p)
     params = build_dp2_params(args.p, args.a, args.delta, args.z0)
-    orbit = fpdynamics.dp2_fp_orbit(args.u0, args.u1, args.steps, params)
-    period = fpdynamics.detect_period(
-        fpdynamics.iterate_dp2_fp(args.u0, args.u1, params), args.p)
-    return {"sequence": [str(v) for v in orbit], "period": period}
+    values = fpdynamics.iterate_dp2_residues(args.u0, args.u1, params)
+    orbit = list(islice(values, max(args.steps, 0)))
+    period = fpdynamics.detect_period(chain(orbit, values), args.p)
+    return {"sequence": [_residue_text(v) for v in orbit], "period": period}
 
 
 def _first_finite_pair(seq):
@@ -144,9 +151,9 @@ def _cmd_tau_orbit(args):
     if start is None:
         period = None
     else:
-        gen = fpdynamics.iterate_dp2_fp(seq[start], seq[start + 1], dp2,
-                                        start_n=start + 2)
-        period = fpdynamics.detect_period(gen, args.p)
+        values = fpdynamics.iterate_dp2_residues(
+            seq[start], seq[start + 1], dp2, start_n=start + 2)
+        period = fpdynamics.detect_period(values, args.p)
     return {
         "sequence": [str(v) for v in seq],
         "period": period,

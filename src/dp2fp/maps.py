@@ -10,11 +10,12 @@ Fraction simply lands in whatever field the state lives in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
     DivisionByZeroError,
+    Dp2Error,
     NoExactZeroError,
     NonIntegralParameterError,
 )
@@ -64,7 +65,9 @@ class DP2Params:
 
     Table entries satisfy |alpha_i|_p, |beta_i|_p in {0, 1}: each entry is
     either an exact zero or a p-adic unit, and its residue agrees with
-    (n*delta + z0 + a)/2 resp. (-n*delta - z0 + a)/2.
+    (n*delta + z0 + a)/2 resp. (-n*delta - z0 + a)/2.  Construction checks
+    this and derives ``alpha_units``/``beta_units``: the residue of each
+    entry, or ``None`` where the entry is exactly zero.
     """
 
     p: int
@@ -77,6 +80,13 @@ class DP2Params:
     beta_table: tuple
     alpha_has_zero: bool = True
     beta_has_zero: bool = True
+    alpha_units: tuple = field(init=False, repr=False, compare=False)
+    beta_units: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        alpha_units, beta_units = _validate_tables(self)
+        object.__setattr__(self, "alpha_units", alpha_units)
+        object.__setattr__(self, "beta_units", beta_units)
 
     def alpha(self, n: int) -> Fraction:
         return self.alpha_table[n % self.p]
@@ -111,26 +121,35 @@ def build_dp2_params(p, a, delta, z0, *, allow_missing_zero=False) -> DP2Params:
     n_beta, beta_table, beta_zero = _zero_shift(
         p, -delta, a - z0, exact_zero_required=not allow_missing_zero)
 
-    params = DP2Params(p=p, a=a, delta=delta, z0=z0,
-                       n_alpha=n_alpha, n_beta=n_beta,
-                       alpha_table=alpha_table, beta_table=beta_table,
-                       alpha_has_zero=alpha_zero, beta_has_zero=beta_zero)
-    _validate_tables(params)
-    return params
+    return DP2Params(p=p, a=a, delta=delta, z0=z0,
+                     n_alpha=n_alpha, n_beta=n_beta,
+                     alpha_table=alpha_table, beta_table=beta_table,
+                     alpha_has_zero=alpha_zero, beta_has_zero=beta_zero)
 
 
 def _validate_tables(params: DP2Params):
+    """Check that every table entry is an exact zero or a unit with the
+    residue of its formula; return the residues of the alpha and beta
+    tables, ``None`` at the exact zeros.  The F_p engine relies on this:
+    there an exact zero is the same as a zero residue."""
     p = params.p
+    alpha_units, beta_units = [], []
     for i in range(p):
-        for entry, expected in (
-            (params.alpha_table[i], (i * params.delta + params.z0 + params.a) / 2),
-            (params.beta_table[i], (-i * params.delta - params.z0 + params.a) / 2),
+        for entry, expected, units in (
+            (params.alpha_table[i], (i * params.delta + params.z0 + params.a) / 2,
+             alpha_units),
+            (params.beta_table[i], (-i * params.delta - params.z0 + params.a) / 2,
+             beta_units),
         ):
-            v = vp(entry, p)
-            assert entry == 0 or v == 0, \
-                f"table entry {entry} at index {i} is neither a unit nor zero"
-            assert reduce_mod(entry, p) == reduce_mod(expected, p), \
-                f"table entry {entry} at index {i} has the wrong residue"
+            if entry != 0 and vp(entry, p) != 0:
+                raise Dp2Error(
+                    f"table entry {entry} at index {i} is neither a unit nor zero")
+            residue = reduce_mod(entry, p)
+            if residue != reduce_mod(expected, p):
+                raise Dp2Error(
+                    f"table entry {entry} at index {i} has the wrong residue")
+            units.append(None if entry == 0 else residue.residue)
+    return tuple(alpha_units), tuple(beta_units)
 
 
 def dp2_step(x, y, n: int, params: DP2Params):

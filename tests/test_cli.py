@@ -1,10 +1,17 @@
 """Command-line surface: payload shapes, determinism, error codes, CSV."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dp2fp
 from dp2fp.cli import main
+
+SRC = str(Path(dp2fp.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -55,6 +62,37 @@ def test_evolve(capsys):
     assert len(result["sequence"]) == 6
     assert result["sequence"][0] == "2"
     assert result["period"] >= 1
+
+
+@pytest.mark.parametrize("argv,period", [
+    (("--p", "13", "--a", "7", "--delta", "10", "--z0", "10",
+      "--u0", "3", "--u1", "5", "--steps", "60"), 52),
+    (("--p", "101", "--a", "91", "--delta", "36", "--z0", "53",
+      "--u0", "45", "--u1", "87", "--steps", "812"), 404),
+])
+def test_evolve_period_hashes_finite_states_only(capsys, argv, period):
+    # Hashing pairs that hold inf as states stops these searches at a
+    # spurious repeat: 26 and 101.
+    code, payload = run_json(capsys, "evolve", *argv)
+    assert code == 0
+    assert payload["result"]["period"] == period
+
+
+@pytest.mark.parametrize("argv", [
+    ("evolve", "--p", "11", "--a=-8", "--delta", "2", "--z0", "2",
+     "--u0", "1", "--u1", "6", "--steps", "30"),
+    ("tau-orbit", "--p", "11", "--N", "3", "--lambda", "1"),
+])
+def test_output_is_the_same_under_python_O(argv):
+    paths = [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    outputs = [
+        subprocess.run([sys.executable, *flags, "-m", "dp2fp.cli", *argv],
+                       env=env, capture_output=True, check=True,
+                       timeout=120).stdout
+        for flags in ((), ("-O",))]
+    assert json.loads(outputs[0])["errors"] == []
+    assert outputs[0] == outputs[1]
 
 
 def test_agr_scan_qrt_not_confined(capsys):

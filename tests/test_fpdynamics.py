@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from dp2fp import (
     FpProj,
@@ -182,3 +184,47 @@ def test_case_totality_by_enumeration():
                             FpState(proj(p, t), proj(p, u), n), params)
                         assert len(out.emitted) in (1, 3, 5, 7)
                         assert not out.next_state.u_prev.is_infinity
+
+
+@st.composite
+def orbit_instances(draw):
+    """(p, a, delta, z0, u0, u1) at p <= 31 with delta a unit, outside the
+    UNDEFINED_CASE regime (p | a + delta or p | a - delta without exact
+    equality)."""
+    p = draw(st.sampled_from((3, 5, 7, 11, 13, 17, 19, 23, 29, 31)))
+    delta = draw(st.integers(1, p - 1))
+    a = draw(st.one_of(st.integers(-2 * p, 2 * p),
+                       st.sampled_from((delta, -delta))))
+    assume((a + delta) % p or a == -delta)
+    assume((a - delta) % p or a == delta)
+    z0 = draw(st.integers(-2 * p, 2 * p))
+    u0, u1 = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+    return p, a, delta, z0, u0, u1
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@example((13, 7, 10, 10, 3, 5))
+@given(orbit_instances())
+def test_detect_period_is_least_period_after_first_state_repeat(instance):
+    p, a, delta, z0, u0, u1 = instance
+    params = build_dp2_params(p, a, delta, z0)
+    period = detect_period(iterate_dp2_fp(u0, u1, params), p)
+    # index of the first repeat of a finite state (u_{k-1}, u_k, k mod p)
+    orbit = iterate_dp2_fp(u0, u1, params)
+    values, seen = [next(orbit)], set()
+    while True:
+        values.append(next(orbit))
+        k = len(values) - 1
+        pair = values[k - 1:]
+        if pair[0].is_infinity or pair[1].is_infinity:
+            continue
+        state = (pair[0].residue, pair[1].residue, k % p)
+        if state in seen:
+            break
+        seen.add(state)
+    values += islice(orbit, 3 * period)
+    window = range(k, k + 2 * period)
+    assert all(values[j + period] == values[j] for j in window)
+    for d in range(1, period):
+        if period % d == 0:
+            assert any(values[j + d] != values[j] for j in window)

@@ -1,6 +1,7 @@
 """Coefficient tables, the system step, the scalar residual, and the
 one-parameter family."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from dp2fp import (
 )
 from dp2fp.errors import (
     DivisionByZeroError,
+    Dp2Error,
     NoExactZeroError,
     NonIntegralParameterError,
 )
@@ -46,6 +48,19 @@ def test_build_tables_match_spec_values():
     assert params.alpha_table == tuple(Fraction(v) for v in (-3, -2, -1, 0, 1))
     assert params.n_beta == 2
     assert params.beta_table == tuple(Fraction(v) for v in (0, -1, -2, -3, -4))
+
+
+def test_table_units_and_invariant_checks():
+    params = build_dp2_params(**TAU_PARAMS_5)
+    # residues of the entries, None at the exact zeros
+    assert params.alpha_units == (2, 3, 4, None, 1)
+    assert params.beta_units == (None, 4, 3, 2, 1)
+    with pytest.raises(Dp2Error, match="neither a unit nor zero"):
+        dataclasses.replace(
+            params, alpha_table=(Fraction(5),) + params.alpha_table[1:])
+    with pytest.raises(Dp2Error, match="wrong residue"):
+        dataclasses.replace(
+            params, beta_table=params.beta_table[1:] + params.beta_table[:1])
 
 
 @pytest.mark.parametrize("p,a,delta,z0", [
