@@ -27,11 +27,10 @@ from itertools import chain, islice
 
 from . import confinement, fpdynamics, tau
 from .errors import Dp2Error
-from .maps import DP2Map, QRTMap, QRTParams, build_dp2_params
+from .maps import (DP2Map, QRTMap, QRTParams, build_dp2_params,
+                   dp2_scalar_residual)
 from .mapexpr import CustomMap
 from .padic import check_odd_prime, parse_rational, reduce_proj
-
-_SCAN_PRIME_LIMIT = confinement.MAX_SCAN_PRIME
 
 
 def _rational(text: str) -> Fraction:
@@ -112,11 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _ScalarParams:
-    def __init__(self, a, delta, z0):
-        self.a, self.delta, self.z0 = a, delta, z0
-
-
 def _residue_text(value) -> str:
     return "inf" if value is None else str(value)
 
@@ -180,8 +174,9 @@ def _build_scan_family(args, parser):
 
 def _cmd_agr_scan(args, parser):
     check_odd_prime(args.p)
-    if args.p > _SCAN_PRIME_LIMIT:
-        parser.error(f"agr-scan is guarded to p <= {_SCAN_PRIME_LIMIT}")
+    if args.p > confinement.MAX_SCAN_PRIME:
+        parser.error(
+            f"agr-scan is guarded to p <= {confinement.MAX_SCAN_PRIME}")
     family = _build_scan_family(args, parser)
     result = confinement.agr_scan(family, max_steps=args.max_steps)
     reports = []
@@ -212,12 +207,9 @@ def _cmd_reduce(args):
 
 
 def _cmd_solve_check(args):
-    params = _ScalarParams(args.a, args.delta, args.z0)
     residuals = []
     indices = []
     skipped = []
-    from .maps import dp2_scalar_residual
-
     values = args.values
     for i in range(1, len(values) - 1):
         n = args.n0 + i
@@ -225,7 +217,7 @@ def _cmd_solve_check(args):
             skipped.append(n)
             continue
         r = dp2_scalar_residual(values[i - 1], values[i], values[i + 1], n,
-                                params)
+                                args)
         indices.append(n)
         residuals.append(str(r))
     ok = all(r == "0" for r in residuals)

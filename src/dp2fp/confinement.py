@@ -61,8 +61,6 @@ class ConfinementReport:
     image: tuple[FpProj, FpProj] | None = None
     pole_orders: list = field(default_factory=list)
     x_trace: list = field(default_factory=list)
-    x_limit: Fraction | None = None
-    y_limit: Fraction | None = None
     truncated: bool = False
 
 
@@ -121,8 +119,7 @@ def confine(map_family, lift: SingularLift, max_steps: int = 30) -> ConfinementR
                 return ConfinementReport(status=ConfinementStatus.CONFINED,
                                          m=j, image=image,
                                          pole_orders=pole_orders,
-                                         x_trace=x_trace,
-                                         x_limit=vx, y_limit=vy)
+                                         x_trace=x_trace)
     return ConfinementReport(status=ConfinementStatus.NOT_CONFINED,
                              pole_orders=pole_orders, x_trace=x_trace)
 

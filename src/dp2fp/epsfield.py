@@ -14,6 +14,12 @@ Canonical-form degrees are capped by a configurable bound (default 64).
 Exceeding it raises ``DegreeOverflowError``: blowup of the perturbation
 degree is how a non-confining orbit announces itself, and it must stay
 distinguishable from an ordinary pole at e = 0.
+
+Internally, polynomials are built by ``_poly`` from tuples of Fractions that
+are already stripped, and quotients by ``_canonical`` from coprime pairs, so
+an arithmetic result is neither re-wrapped coefficient by coefficient nor
+reduced by a gcd whose value is known in advance (see ``poly_gcd`` and
+``EpsRational.__pow__``).
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
 
-from .errors import DegreeOverflowError, DivisionByZeroError, PoleAtZeroError
+from .errors import (DegreeOverflowError, DivisionByZeroError, Dp2Error,
+                     PoleAtZeroError)
 from .padic import PLUS_INFINITY
 
 DEFAULT_DEGREE_BOUND = 64
@@ -41,11 +48,25 @@ def degree_limit(bound: int | None):
         _degree_bound.reset(token)
 
 
+_FRACTION_ZERO = Fraction(0)
+
+
 def _strip(coeffs):
     n = len(coeffs)
     while n and coeffs[n - 1] == 0:
         n -= 1
     return tuple(coeffs[:n])
+
+
+def _poly(coeffs: tuple) -> "EpsPoly":
+    """EpsPoly over a tuple of Fractions that is already stripped."""
+    poly = object.__new__(EpsPoly)
+    poly.coeffs = coeffs
+    return poly
+
+
+def _as_poly(value) -> "EpsPoly":
+    return value if isinstance(value, EpsPoly) else EpsPoly(value)
 
 
 class EpsPoly:
@@ -100,67 +121,78 @@ class EpsPoly:
         return not self.is_zero
 
     def __neg__(self):
-        return EpsPoly([-c for c in self.coeffs])
+        return _poly(tuple([-c for c in self.coeffs]))
 
     def __add__(self, other):
-        other = EpsPoly(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.coeffs, _as_poly(other).coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return EpsPoly(out)
+        return _poly(_strip(out))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-EpsPoly(other))
+        return self + (-_as_poly(other))
 
     def __rsub__(self, other):
-        return EpsPoly(other) + (-self)
+        return _as_poly(other) + (-self)
 
     def __mul__(self, other):
-        other = EpsPoly(other)
-        if self.is_zero or other.is_zero:
-            return EpsPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
+        a, b = self.coeffs, _as_poly(other).coeffs
+        if not a or not b:
+            return ZERO
+        out = [_FRACTION_ZERO] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if not x:
                 continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return EpsPoly(out)
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+        # The leading product is nonzero over a field: nothing to strip.
+        return _poly(tuple(out))
 
     __rmul__ = __mul__
 
-    def scale(self, c: Fraction) -> "EpsPoly":
-        return EpsPoly([a * c for a in self.coeffs])
+    def __pow__(self, k: int):
+        if not isinstance(k, int) or k < 0:
+            return NotImplemented
+        result, base = ONE, self
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
+        return result
 
-    def shift(self, k: int) -> "EpsPoly":
-        """Multiply by e**k."""
-        if self.is_zero:
-            return self
-        return EpsPoly((Fraction(0),) * k + self.coeffs)
+    def scale(self, c: Fraction) -> "EpsPoly":
+        if not c:
+            return ZERO
+        return _poly(tuple([a * c for a in self.coeffs]))
 
     def divmod(self, other: "EpsPoly"):
-        other = EpsPoly(other)
+        other = _as_poly(other)
         if other.is_zero:
             raise DivisionByZeroError("polynomial division by zero")
+        b = other.coeffs
         rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        db = len(b) - 1
+        dq = len(rem) - 1 - db
         if dq < 0:
-            return EpsPoly(), self
-        quo = [Fraction(0)] * (dq + 1)
-        lead = other.coeffs[-1]
+            return ZERO, self
+        quo = [_FRACTION_ZERO] * (dq + 1)
+        lead = b[-1]
         for i in range(dq, -1, -1):
-            c = rem[i + len(other.coeffs) - 1] / lead
+            c = rem[i + db] / lead
             if c:
                 quo[i] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] -= c * b
-        return EpsPoly(quo), EpsPoly(rem)
+                for j in range(db):
+                    rem[i + j] -= c * b[j]
+        # rem[db:] is zero by construction; quo's top entry is nonzero.
+        return _poly(tuple(quo)), _poly(_strip(rem[:db]))
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -196,14 +228,70 @@ ZERO = EpsPoly()
 ONE = EpsPoly(1)
 EPS_POLY = EpsPoly((0, 1))
 
+# The prime 2**61 - 1 of the modular coprimality certificate in poly_gcd.
+GCD_CHECK_PRIME = (1 << 61) - 1
+
+
+def _residues(coeffs):
+    """Coefficients mod GCD_CHECK_PRIME, or None where a denominator
+    vanishes mod it."""
+    q = GCD_CHECK_PRIME
+    out = []
+    for c in coeffs:
+        d = c.denominator
+        if d == 1:
+            out.append(c.numerator % q)
+        elif d % q:
+            out.append(c.numerator * pow(d, -1, q) % q)
+        else:
+            return None
+    return out
+
+
+def _certified_coprime(a: tuple, b: tuple) -> bool:
+    """Sufficient test that a and b are coprime over Q: the Euclidean
+    algorithm mod q = GCD_CHECK_PRIME ends in a nonzero constant.
+
+    Exact: if every coefficient lies in Z_(q) and both leading coefficients
+    are units there, a common factor g over Q can be taken primitive in
+    Z_(q)[e] (Gauss's lemma), so g mod q keeps its degree and divides both
+    reductions.  A constant gcd mod q therefore rules out any such g.
+    """
+    q = GCD_CHECK_PRIME
+    a, b = _residues(a), _residues(b)
+    if a is None or b is None or not a[-1] or not b[-1]:
+        return False
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        inv = pow(b[-1], -1, q)
+        db = len(b) - 1
+        rem = list(a)
+        for i in range(len(a) - 1, db - 1, -1):
+            c = rem[i] * inv % q
+            if c:
+                for j in range(db):
+                    rem[i - db + j] = (rem[i - db + j] - c * b[j]) % q
+        rem = rem[:db]
+        while rem and not rem[-1]:
+            rem.pop()
+        a, b = b, rem
+    return len(b) == 1
+
 
 def poly_gcd(a: EpsPoly, b: EpsPoly) -> EpsPoly:
-    """Monic gcd by the Euclidean algorithm over Q.
+    """Monic gcd; the Euclidean algorithm over Q unless the result is known.
 
-    Remainders are made monic each round to keep coefficient growth in
+    Two cases are decided without it: a nonzero constant operand gives 1,
+    and so does a pair that ``_certified_coprime`` proves coprime.  The
+    loop makes remainders monic each round to keep coefficient growth in
     check; any exact method would do, the contract is canonical equality.
     """
-    a, b = EpsPoly(a), EpsPoly(b)
+    a, b = _as_poly(a), _as_poly(b)
+    if len(a.coeffs) == 1 or len(b.coeffs) == 1:
+        return ONE
+    if a.coeffs and b.coeffs and _certified_coprime(a.coeffs, b.coeffs):
+        return ONE
     while not b.is_zero:
         a, b = b, (a % b).monic()
     return a.monic()
@@ -211,8 +299,33 @@ def poly_gcd(a: EpsPoly, b: EpsPoly) -> EpsPoly:
 
 def _exact_div(a: EpsPoly, b: EpsPoly) -> EpsPoly:
     q, r = a.divmod(b)
-    assert r.is_zero, "internal: division expected to be exact"
+    if not r.is_zero:
+        raise Dp2Error("internal: polynomial division expected to be exact")
     return q
+
+
+def _check_degree(degree: int) -> None:
+    bound = _degree_bound.get()
+    if bound is not None and degree > bound:
+        raise DegreeOverflowError(
+            f"perturbation degree {degree} exceeds bound {bound}")
+
+
+def _canonical(num: EpsPoly, den: EpsPoly) -> "EpsRational":
+    """EpsRational from coprime num and nonzero den: normalizes den's
+    trailing coefficient to 1 and applies the degree bound."""
+    if num.is_zero:
+        num, den = ZERO, ONE
+    else:
+        t = den.trailing()
+        if t != 1:
+            s = 1 / t
+            num, den = num.scale(s), den.scale(s)
+    _check_degree(max(len(num.coeffs), len(den.coeffs)) - 1)
+    out = object.__new__(EpsRational)
+    out.num = num
+    out.den = den
+    return out
 
 
 class EpsRational:
@@ -220,29 +333,19 @@ class EpsRational:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, *, _reduced=False):
+    def __init__(self, num, den=None):
         num = EpsPoly(num)
         den = ONE if den is None else EpsPoly(den)
         if den.is_zero:
             raise DivisionByZeroError("zero denominator in perturbation function")
-        if num.is_zero:
-            num, den = ZERO, ONE
-        elif not _reduced:
+        if not num.is_zero:
             g = poly_gcd(num, den)
             if g.degree > 0:
                 num = _exact_div(num, g)
                 den = _exact_div(den, g)
-        t = den.trailing()
-        if t != 1:
-            num = num.scale(1 / t)
-            den = den.scale(1 / t)
-        self.num = num
-        self.den = den
-        bound = _degree_bound.get()
-        if bound is not None and max(num.degree, den.degree) > bound:
-            raise DegreeOverflowError(
-                f"perturbation degree {max(num.degree, den.degree)} exceeds "
-                f"bound {bound}")
+        made = _canonical(num, den)
+        self.num = made.num
+        self.den = made.den
 
     @classmethod
     def from_const(cls, c) -> "EpsRational":
@@ -257,7 +360,7 @@ class EpsRational:
         if isinstance(other, EpsRational):
             return other
         if isinstance(other, (int, Fraction, EpsPoly)):
-            return EpsRational(EpsPoly(other))
+            return _canonical(_as_poly(other), ONE)
         return None
 
     @property
@@ -277,7 +380,7 @@ class EpsRational:
         return not self.is_zero
 
     def __neg__(self):
-        return EpsRational(-self.num, self.den, _reduced=True)
+        return _canonical(-self.num, self.den)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -286,14 +389,14 @@ class EpsRational:
         a, b, c, d = self.num, self.den, o.num, o.den
         t = poly_gcd(b, d)
         if t.degree <= 0:
-            return EpsRational(a * d + c * b, b * d, _reduced=True)
+            return _canonical(a * d + c * b, b * d)
         b1, d1 = _exact_div(b, t), _exact_div(d, t)
         r = a * d1 + c * b1
         g2 = poly_gcd(r, t)
         if g2.degree > 0:
             r = _exact_div(r, g2)
             t = _exact_div(t, g2)
-        return EpsRational(r, b1 * d1 * t, _reduced=True)
+        return _canonical(r, b1 * d1 * t)
 
     __radd__ = __add__
 
@@ -314,7 +417,7 @@ class EpsRational:
         if o is None:
             return NotImplemented
         if self.is_zero or o.is_zero:
-            return EpsRational(ZERO)
+            return _canonical(ZERO, ONE)
         a, b, c, d = self.num, self.den, o.num, o.den
         g1 = poly_gcd(a, d)
         g2 = poly_gcd(c, b)
@@ -322,7 +425,7 @@ class EpsRational:
             a, d = _exact_div(a, g1), _exact_div(d, g1)
         if g2.degree > 0:
             c, b = _exact_div(c, g2), _exact_div(b, g2)
-        return EpsRational(a * c, b * d, _reduced=True)
+        return _canonical(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -332,7 +435,7 @@ class EpsRational:
             return NotImplemented
         if o.is_zero:
             raise DivisionByZeroError("division by the zero perturbation function")
-        return self * EpsRational(o.den, o.num, _reduced=True)
+        return self * _canonical(o.den, o.num)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -341,18 +444,19 @@ class EpsRational:
         return o / self
 
     def __pow__(self, k: int):
+        """num**k / den**k with no gcd: a power of a reduced quotient is
+        reduced, and den's trailing coefficient stays 1.
+
+        The bound is applied to the result's exact degree before anything
+        is multiplied out.  Repeated squaring builds no intermediate of
+        higher degree, so a power overflows exactly when a chain of
+        products would.
+        """
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        result = EpsRational(ONE)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base_needed = k >> 1
-            if base_needed:
-                base = base * base
-            k = base_needed
-        return result
+        num, den = self.num, self.den
+        _check_degree(k * max(num.degree, den.degree))
+        return _canonical(num ** k, den ** k)
 
     def ord0(self):
         """Order of vanishing at e = 0; negative means a pole, zero gives

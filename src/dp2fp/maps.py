@@ -283,8 +283,10 @@ def dp2_window_map(params: DP2Params, singular_value: int, n0: int) -> AnchoredD
     else:
         raise ValueError("singular_value must be +1 or -1")
     p = params.p
-    assert reduce_mod(alpha0, p) == reduce_mod(params.alpha(n0), p)
-    assert reduce_mod(beta0, p) == reduce_mod(params.beta(n0), p)
+    if (reduce_mod(alpha0, p) != reduce_mod(params.alpha(n0), p)
+            or reduce_mod(beta0, p) != reduce_mod(params.beta(n0), p)):
+        raise Dp2Error(f"internal: anchor ({alpha0}, {beta0}) at n = {n0} "
+                       "does not reduce to the coefficient table")
     return AnchoredDP2Map(params, n0, alpha0, beta0)
 
 

@@ -82,6 +82,9 @@ def test_evolve_period_hashes_finite_states_only(capsys, argv, period):
     ("evolve", "--p", "11", "--a=-8", "--delta", "2", "--z0", "2",
      "--u0", "1", "--u1", "6", "--steps", "30"),
     ("tau-orbit", "--p", "11", "--N", "3", "--lambda", "1"),
+    ("agr-scan", "--map", "dp2", "--p", "5", "--a=-2", "--delta", "2",
+     "--z0", "3"),
+    ("agr-scan", "--map", "qrt", "--gamma", "3", "--p", "5", "--a", "2"),
 ])
 def test_output_is_the_same_under_python_O(argv):
     paths = [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]
@@ -163,6 +166,10 @@ def test_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["agr-scan", "--map", "qrt", "--p", "5"])   # missing gamma/a
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["agr-scan", "--map", "qrt", "--gamma", "2", "--a", "1",
+              "--p", "103"])   # above confinement.MAX_SCAN_PRIME
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

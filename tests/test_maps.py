@@ -4,6 +4,7 @@ one-parameter family."""
 import dataclasses
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,6 +26,7 @@ from dp2fp.errors import (
     NoExactZeroError,
     NonIntegralParameterError,
 )
+from dp2fp.maps import dp2_window_map
 
 TAU_PARAMS_5 = dict(p=5, a=-8, delta=2, z0=2)
 
@@ -135,6 +137,17 @@ def test_dp2_step_singularity():
         dp2_step(Fraction(1), Fraction(7), 0, params)
     with pytest.raises(DivisionByZeroError):
         dp2_step(Fraction(-1), Fraction(7), 0, params)
+
+
+def test_window_anchor_must_reduce_to_the_tables():
+    # alpha + beta = a holds for real tables; this stub breaks it mod p, so
+    # the anchor (alpha0, a - alpha0) cannot reduce to (alpha(n0), beta(n0)).
+    # The check raises, so it holds under python -O as well.
+    broken = SimpleNamespace(p=5, a=Fraction(1), delta=Fraction(2),
+                             alpha=lambda n: Fraction(3),
+                             beta=lambda n: Fraction(4))
+    with pytest.raises(Dp2Error):
+        dp2_window_map(broken, 1, 0)
 
 
 def test_dp2_step_perturbed_pole_order():
