@@ -5,7 +5,7 @@ arithmetic (case 1).  When the dependent variable hits 1 or p-1 with a
 nonzero coefficient, the whole confined excursion is emitted at once as a
 fixed pattern of intermediate values ending in the closed-form exit value
 (cases 2 through 7).  Which pattern applies is decided by exact zero tests
-on the coefficient tables, never by residues alone.
+on the coefficients, never by residues alone.
 
 The engine computes on plain int residues in 0..p-1, with ``None`` for the
 point at infinity (the encoding of ``FpProj.residue``).  ``dp2_fp_pattern``,

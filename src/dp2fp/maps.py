@@ -1,5 +1,5 @@
 """The dP-II system map, the one-parameter QRT-type family, and the
-period-p coefficient tables with exact zero placement.
+period-p dP-II coefficients with exact zero placement.
 
 The step functions are generic over the arithmetic carrier: the same
 formula runs on exact rationals (orbits over Q), on ``FpElem`` (the reduced
@@ -30,30 +30,24 @@ def _check_p_integral(name, value, p):
     return value
 
 
-def _zero_shift(p: int, delta: Fraction, offset: Fraction, exact_zero_required):
-    """Find (shift, table) for entries (i*delta + offset + shift*p) / 2.
+def _zero_shift(p: int, delta: Fraction, offset: Fraction) -> Fraction:
+    """The shift that makes one of (i*delta + offset + shift*p) / 2,
+    i = 0..p-1, exactly zero.
 
-    The shift is chosen so that one table entry is exactly zero whenever the
-    residue equation i*delta + offset = 0 (mod p) is solvable.  Returns the
-    shift, the p-entry table, and whether a zero was placed.
+    When delta is a unit mod p, the zero sits at the class i0 of
+    -offset/delta, and every other entry, (i - i0)*delta/2, is a unit.
+    When delta = 0 (mod p), no shift works unless delta and the offset are
+    both exactly zero.
     """
-    d_res = reduce_mod(delta, p).residue
-    if d_res != 0:
+    if reduce_mod(delta, p).residue != 0:
         i0 = reduce_mod(-offset / delta, p).residue
-        shift = -(i0 * delta + offset) / p
-        table = tuple((i * delta + offset + shift * p) / 2 for i in range(p))
-        return shift, table, True
-    # delta = 0 mod p: either every slot is congruent to zero or none is.
+        return -(i0 * delta + offset) / p
     if reduce_mod(offset, p).residue != 0:
-        if exact_zero_required:
-            raise NoExactZeroError(
-                "coefficient table admits no exact zero: delta = 0 (mod p) "
-                f"and the offset {offset} is a unit")
-        shift = Fraction(0)
-        table = tuple((i * delta + offset) / 2 for i in range(p))
-        return shift, table, False
+        raise NoExactZeroError(
+            "coefficient table admits no exact zero: delta = 0 (mod p) "
+            f"and the offset {offset} is a unit")
     if delta == 0 and offset == 0:
-        return Fraction(0), (Fraction(0),) * p, True
+        return Fraction(0)
     raise NoExactZeroError(
         "degenerate parameters: delta and the offset both vanish mod p but "
         "not exactly, so table entries cannot all be units or exact zeros")
@@ -61,13 +55,16 @@ def _zero_shift(p: int, delta: Fraction, offset: Fraction, exact_zero_required):
 
 @dataclass(frozen=True)
 class DP2Params:
-    """Prime, parameters (a, delta, z0), and the period-p coefficient tables.
+    """Prime, parameters (a, delta, z0), and the period-p coefficients
 
-    Table entries satisfy |alpha_i|_p, |beta_i|_p in {0, 1}: each entry is
-    either an exact zero or a p-adic unit, and its residue agrees with
-    (n*delta + z0 + a)/2 resp. (-n*delta - z0 + a)/2.  Construction checks
-    this and derives ``alpha_units``/``beta_units``: the residue of each
-    entry, or ``None`` where the entry is exactly zero.
+        alpha_n = (i*delta + z0 + a + n_alpha*p) / 2,
+        beta_n = (-i*delta - z0 + a + n_beta*p) / 2,   i = n mod p.
+
+    The shifts n_alpha and n_beta place an exact zero in each period, so
+    every coefficient is an exact zero or a p-adic unit, with the residue
+    of (n*delta + z0 + a)/2 resp. (-n*delta - z0 + a)/2.  ``alpha_units``
+    and ``beta_units`` hold these residues for i = 0..p-1, ``None`` where
+    the residue is zero, which is exactly where the coefficient is zero.
     """
 
     p: int
@@ -76,80 +73,46 @@ class DP2Params:
     z0: Fraction
     n_alpha: Fraction
     n_beta: Fraction
-    alpha_table: tuple
-    beta_table: tuple
-    alpha_has_zero: bool = True
-    beta_has_zero: bool = True
-    alpha_units: tuple = field(init=False, repr=False, compare=False)
-    beta_units: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        alpha_units, beta_units = _validate_tables(self)
-        object.__setattr__(self, "alpha_units", alpha_units)
-        object.__setattr__(self, "beta_units", beta_units)
+    alpha_units: tuple = field(repr=False)
+    beta_units: tuple = field(repr=False)
 
     def alpha(self, n: int) -> Fraction:
-        return self.alpha_table[n % self.p]
+        return ((n % self.p) * self.delta + self.z0 + self.a
+                + self.n_alpha * self.p) / 2
 
     def beta(self, n: int) -> Fraction:
-        return self.beta_table[n % self.p]
+        return (-(n % self.p) * self.delta - self.z0 + self.a
+                + self.n_beta * self.p) / 2
 
     def z(self, n: int) -> Fraction:
         """The unreduced linear coefficient z_n = delta*n + z0."""
         return self.delta * n + self.z0
 
-    def singular_residues(self):
-        return (1, self.p - 1)
 
-
-def build_dp2_params(p, a, delta, z0, *, allow_missing_zero=False) -> DP2Params:
-    """Build period-p tables with an exact zero placed in each.
+def build_dp2_params(p, a, delta, z0) -> DP2Params:
+    """Parameters with an exact zero placed in each period of alpha and beta.
 
     The shift n_alpha solves i*delta + z0 + a + n_alpha*p = 0 at the unique
     residue class i where that is possible; the beta shift does the same
-    for -i*delta - z0 + a.  When delta reduces to zero no slot works:
-    ``NoExactZeroError`` by default, or (with ``allow_missing_zero``) a
-    zero-free table flagged on the returned params.
+    for -i*delta - z0 + a.  When delta reduces to zero no class works, and
+    ``NoExactZeroError`` is raised unless a = delta = z0 = 0, where every
+    coefficient is zero.
     """
     check_odd_prime(p)
     a = _check_p_integral("a", a, p)
     delta = _check_p_integral("delta", delta, p)
     z0 = _check_p_integral("z0", z0, p)
-
-    n_alpha, alpha_table, alpha_zero = _zero_shift(
-        p, delta, z0 + a, exact_zero_required=not allow_missing_zero)
-    n_beta, beta_table, beta_zero = _zero_shift(
-        p, -delta, a - z0, exact_zero_required=not allow_missing_zero)
-
+    n_alpha = _zero_shift(p, delta, z0 + a)
+    n_beta = _zero_shift(p, -delta, a - z0)
+    a_res, d_res, z_res = (reduce_mod(v, p).residue for v in (a, delta, z0))
+    half = (p + 1) // 2
+    alpha_units = tuple((i * d_res + z_res + a_res) * half % p or None
+                        for i in range(p))
+    beta_units = tuple((a_res - i * d_res - z_res) * half % p or None
+                       for i in range(p))
     return DP2Params(p=p, a=a, delta=delta, z0=z0,
                      n_alpha=n_alpha, n_beta=n_beta,
-                     alpha_table=alpha_table, beta_table=beta_table,
-                     alpha_has_zero=alpha_zero, beta_has_zero=beta_zero)
-
-
-def _validate_tables(params: DP2Params):
-    """Check that every table entry is an exact zero or a unit with the
-    residue of its formula; return the residues of the alpha and beta
-    tables, ``None`` at the exact zeros.  The F_p engine relies on this:
-    there an exact zero is the same as a zero residue."""
-    p = params.p
-    alpha_units, beta_units = [], []
-    for i in range(p):
-        for entry, expected, units in (
-            (params.alpha_table[i], (i * params.delta + params.z0 + params.a) / 2,
-             alpha_units),
-            (params.beta_table[i], (-i * params.delta - params.z0 + params.a) / 2,
-             beta_units),
-        ):
-            if entry != 0 and vp(entry, p) != 0:
-                raise Dp2Error(
-                    f"table entry {entry} at index {i} is neither a unit nor zero")
-            residue = reduce_mod(entry, p)
-            if residue != reduce_mod(expected, p):
-                raise Dp2Error(
-                    f"table entry {entry} at index {i} has the wrong residue")
-            units.append(None if entry == 0 else residue.residue)
-    return tuple(alpha_units), tuple(beta_units)
+                     alpha_units=alpha_units, beta_units=beta_units)
 
 
 def dp2_step(x, y, n: int, params: DP2Params):
@@ -157,9 +120,10 @@ def dp2_step(x, y, n: int, params: DP2Params):
 
         x' = alpha_n/(1 - x) + beta_n/(1 + x) - y,   y' = x
 
-    with the coefficients drawn from the period-p tables.  The carrier of
-    (x, y) decides the arithmetic; x = +1 or -1 exactly in the carrier is a
-    genuine singularity and raises ``DivisionByZeroError``.
+    with the coefficients params.alpha(n) and params.beta(n), from a
+    ``DP2Params`` or an ``AnchoredDP2Map``.  The carrier of (x, y) decides
+    the arithmetic; x = +1 or -1 exactly in the carrier is a genuine
+    singularity and raises ``DivisionByZeroError``.
     """
     alpha = params.alpha(n)
     beta = params.beta(n)
@@ -192,16 +156,14 @@ class QRTParams:
     p: int
     gamma: int
     a: int
-    allow_zero_a: bool = False
 
     def __post_init__(self):
         check_odd_prime(self.p)
         if self.gamma < 0:
             raise NonIntegralParameterError("gamma must be a nonnegative integer")
-        if not self.allow_zero_a and not 1 <= self.a <= self.p - 1:
+        if not 1 <= self.a <= self.p - 1:
             raise NonIntegralParameterError(
-                f"a must lie in 1..{self.p - 1} (got {self.a}); "
-                "a = 0 needs allow_zero_a")
+                f"a must lie in 1..{self.p - 1} (got {self.a})")
 
 
 def qrt_step(x, y, params: QRTParams):
@@ -222,12 +184,13 @@ class AnchoredDP2Map:
         alpha_{n+1} - alpha_n = delta/2,  beta_{n+1} - beta_n = -delta/2,
         alpha_n + beta_n = a
 
-    to hold across the whole window.  The period-p folded tables satisfy
-    them only inside one period: at the fold the entries jump by a multiple
-    of p, which is invisible mod p but breaks the cancellation for shallow
-    lifts (k = 1).  Anchoring the affine family at the window start with
-    the dispatch-relevant zeros placed exactly restores the relations at
-    every n while keeping every residue equal to the table residue.
+    to hold across the whole window.  The period-p coefficients of
+    ``DP2Params`` satisfy them only inside one period: at the fold they
+    jump by a multiple of p, which is invisible mod p but breaks the
+    cancellation for shallow lifts (k = 1).  Anchoring the affine family
+    at the window start with the dispatch-relevant zeros placed exactly
+    restores the relations at every n while keeping every residue equal to
+    that of ``DP2Params``.
     """
 
     kind = "dp2-window"
@@ -247,13 +210,7 @@ class AnchoredDP2Map:
         return self.beta0 - (n - self.n0) * self.params.delta / 2
 
     def step(self, x, y, n: int):
-        alpha = self.alpha(n)
-        beta = self.beta(n)
-        try:
-            x_next = alpha / (1 - x) + beta / (1 + x) - y
-        except ZeroDivisionError as exc:
-            raise DivisionByZeroError(f"singular state x = {x}") from exc
-        return x_next, x
+        return dp2_step(x, y, n, self)
 
 
 def dp2_window_map(params: DP2Params, singular_value: int, n0: int) -> AnchoredDP2Map:

@@ -78,6 +78,32 @@ def test_evolve_period_hashes_finite_states_only(capsys, argv, period):
     assert payload["result"]["period"] == period
 
 
+EVOLVE_P499 = (
+    "5 158 165 344 82 374 476 375 203 44 455 137 449 259 299 295 302 141 "
+    "397 372 44 168 339 196 436 317 165 296 30 344 84 72 333 434 460 257 "
+    "283 59 206 416").split()
+
+
+@pytest.mark.parametrize("argv,params,result", [
+    (("--p", "499", "--a=7/3", "--delta=-5/2", "--z0=11",
+      "--u0", "3", "--u1", "5", "--steps", "40"),
+     {"a": "7/3", "delta": "-5/2", "p": 499, "steps": 40, "u0": 3, "u1": 5,
+      "z0": "11"},
+     {"sequence": EVOLVE_P499, "period": 1996}),
+    # a = delta = z0 = 0: every coefficient is an exact zero
+    (("--p", "5", "--a", "0", "--delta", "0", "--z0", "0",
+      "--u0", "1", "--u1", "4", "--steps", "8"),
+     {"a": "0", "delta": "0", "p": 5, "steps": 8, "u0": 1, "u1": 4,
+      "z0": "0"},
+     {"sequence": ["4", "4", "1", "1"] * 2, "period": 4}),
+])
+def test_evolve_pinned_outputs(capsys, argv, params, result):
+    code, payload = run_json(capsys, "evolve", *argv)
+    assert code == 0
+    assert payload == {"command": "evolve", "params": params,
+                       "result": result, "errors": []}
+
+
 @pytest.mark.parametrize("argv", [
     ("evolve", "--p", "11", "--a=-8", "--delta", "2", "--z0", "2",
      "--u0", "1", "--u1", "6", "--steps", "30"),

@@ -94,7 +94,7 @@ class TestDP2Cases:
 
     def test_case_three_five_steps(self):
         params = build_dp2_params(5, 4, 2, 2)
-        beta_zero = next(i for i in range(5) if params.beta_table[i] == 0)
+        beta_zero = next(i for i in range(5) if params.beta(i) == 0)
         n = (beta_zero - 2) % 5
         assert params.alpha(n) != 0
         rep = confine_dp2_case(params, +1, n, 3)
@@ -138,7 +138,7 @@ class TestDP2Cases:
 
     def test_mirrored_case_seven(self):
         params = build_dp2_params(5, 2, 2, 2)     # a = delta
-        alpha_zero = next(i for i in range(5) if params.alpha_table[i] == 0)
+        alpha_zero = next(i for i in range(5) if params.alpha(i) == 0)
         n = (alpha_zero - 2) % 5
         assert params.beta(n) != 0
         rep = confine_dp2_case(params, -1, n, 3)
@@ -185,13 +185,13 @@ class TestPathologicalRegime:
         assert not res.has_agr
 
     def test_p_divides_a_flags_ambiguity(self):
-        # a = 0 mod p puts both table zeros at one index, so no exact
+        # a = 0 mod p puts both exact zeros at one index, so no exact
         # coefficient lift can honor both (their sum must equal a != 0).
         # Residue-level engines still agree, but deeper lifts reduce
         # differently: flagged, not guessed.
         params = build_dp2_params(3, 6, 4, -5)
-        i_alpha = next(i for i in range(3) if params.alpha_table[i] == 0)
-        i_beta = next(i for i in range(3) if params.beta_table[i] == 0)
+        i_alpha = next(i for i in range(3) if params.alpha(i) == 0)
+        i_beta = next(i for i in range(3) if params.beta(i) == 0)
         assert i_alpha == i_beta
         res = agr_scan(DP2Map(params))
         assert res.ambiguous

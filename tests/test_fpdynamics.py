@@ -19,6 +19,7 @@ from dp2fp import (
     reduced_solution,
 )
 from dp2fp.errors import InfiniteInitialError, UndefinedCaseError
+from dp2fp.fpdynamics import _seven_cases
 
 TAU5 = dict(p=5, a=-8, delta=2, z0=2)
 
@@ -184,6 +185,26 @@ def test_case_totality_by_enumeration():
                             FpState(proj(p, t), proj(p, u), n), params)
                         assert len(out.emitted) in (1, 3, 5, 7)
                         assert not out.next_state.u_prev.is_infinity
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
+def test_seven_case_map_is_a_bijection_of_finite_states(p):
+    # One step from each finite state (u_{n-1}, u_n, n mod p) lands on the
+    # next finite state; over all p^3 states no two land on the same one.
+    kinds = [(-2, 2, 3), (2, 2, 3)]          # a = -delta, a = delta
+    if p >= 5:
+        kinds.append((1, 2, 3))               # a + delta, a - delta units
+    for a, delta, z0 in kinds:
+        step = _seven_cases(build_dp2_params(p, a, delta, z0))
+        images = set()
+        for n in range(p):
+            for t in range(p):
+                for u in range(p):
+                    values = (t, u) + step(t, u, n)
+                    images.add((values[-2], values[-1],
+                                (n + len(values) - 2) % p))
+        assert len(images) == p ** 3
+        assert all(t is not None and u is not None for t, u, _ in images)
 
 
 @st.composite

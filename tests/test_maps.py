@@ -1,12 +1,13 @@
-"""Coefficient tables, the system step, the scalar residual, and the
+"""dP-II coefficients, the system step, the scalar residual, and the
 one-parameter family."""
 
-import dataclasses
 import random
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dp2fp import (
     EpsPoly,
@@ -47,33 +48,32 @@ def zero_shift_oracle(p, a, delta, z0, kind):
 def test_build_tables_match_spec_values():
     params = build_dp2_params(**TAU_PARAMS_5)
     assert params.n_alpha == 0
-    assert params.alpha_table == tuple(Fraction(v) for v in (-3, -2, -1, 0, 1))
+    assert tuple(params.alpha(i) for i in range(5)) == \
+        tuple(Fraction(v) for v in (-3, -2, -1, 0, 1))
     assert params.n_beta == 2
-    assert params.beta_table == tuple(Fraction(v) for v in (0, -1, -2, -3, -4))
+    assert tuple(params.beta(i) for i in range(5)) == \
+        tuple(Fraction(v) for v in (0, -1, -2, -3, -4))
 
 
 def test_table_units_and_invariant_checks():
     params = build_dp2_params(**TAU_PARAMS_5)
-    # residues of the entries, None at the exact zeros
+    # residues of the coefficients, None at the exact zeros
     assert params.alpha_units == (2, 3, 4, None, 1)
     assert params.beta_units == (None, 4, 3, 2, 1)
-    with pytest.raises(Dp2Error, match="neither a unit nor zero"):
-        dataclasses.replace(
-            params, alpha_table=(Fraction(5),) + params.alpha_table[1:])
-    with pytest.raises(Dp2Error, match="wrong residue"):
-        dataclasses.replace(
-            params, beta_table=params.beta_table[1:] + params.beta_table[:1])
 
 
 @pytest.mark.parametrize("p,a,delta,z0", [
     (5, -8, 2, 2), (5, -2, 2, 2), (3, 6, 2, 2), (7, 4, 2, 2), (11, -8, 2, 2),
+    (5, 0, 0, 0), (7, 3, 9, -4), (13, 5, -3, 7), (31, 0, 1, 0),
+    (101, 7, 3, 2),
 ])
 def test_build_agrees_with_shift_scan_oracle(p, a, delta, z0):
     params = build_dp2_params(p, a, delta, z0)
-    for kind, shift, table in (
-        ("alpha", params.n_alpha, params.alpha_table),
-        ("beta", params.n_beta, params.beta_table),
+    for kind, shift, coeff in (
+        ("alpha", params.n_alpha, params.alpha),
+        ("beta", params.n_beta, params.beta),
     ):
+        table = tuple(coeff(i) for i in range(p))
         hits = zero_shift_oracle(p, a, delta, z0, kind)
         assert (shift, table) in hits
         assert any(v == 0 for v in table)
@@ -91,8 +91,55 @@ def test_table_residues_match_defining_formula(n):
 def test_table_entries_are_units_or_exact_zeros():
     for p in (3, 5, 7, 11):
         params = build_dp2_params(p, -8, 2, 2)
-        for v in params.alpha_table + params.beta_table:
-            assert v == 0 or vp(v, p) == 0
+        for i in range(p):
+            for v in (params.alpha(i), params.beta(i)):
+                assert v == 0 or vp(v, p) == 0
+
+
+@st.composite
+def dp2_inputs(draw):
+    """p-integral (a, delta, z0); delta is zero mod p in about a quarter."""
+    p = draw(st.sampled_from((3, 5, 7, 11, 13, 17, 19, 23, 29, 31)))
+
+    def rational():
+        den = draw(st.integers(1, 12).filter(lambda d: d % p != 0))
+        return Fraction(draw(st.integers(-4 * p, 4 * p)), den)
+
+    a, z0 = rational(), rational()
+    if draw(st.integers(0, 3)) == 0:
+        delta = Fraction(p * draw(st.integers(-2, 2)))
+    else:
+        delta = rational()
+    return p, a, delta, z0
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@example((5, Fraction(0), Fraction(0), Fraction(0)))
+@example((3, Fraction(6), Fraction(4), Fraction(-5)))
+@given(dp2_inputs())
+def test_coefficients_are_exact_zeros_or_units_of_their_residue(inputs):
+    # alpha_units/beta_units mark the exact zeros with None; the seven-case
+    # engine dispatches on them, so None must mean exactly zero.
+    p, a, delta, z0 = inputs
+    d_res = reduce_mod(delta, p).residue
+    try:
+        params = build_dp2_params(p, a, delta, z0)
+    except NoExactZeroError:
+        assert d_res == 0 and (a, delta, z0) != (0, 0, 0)
+        return
+    for sign, coeff, units in ((1, params.alpha, params.alpha_units),
+                               (-1, params.beta, params.beta_units)):
+        assert len(units) == p
+        assert units.count(None) == (1 if d_res else p)
+        for i in range(p):
+            value = coeff(i)
+            residue = reduce_mod((sign * (i * delta + z0) + a) / 2, p).residue
+            if units[i] is None:
+                assert value == 0 and residue == 0
+            else:
+                assert value != 0 and vp(value, p) == 0
+                assert reduce_mod(value, p).residue == units[i] == residue
+            assert coeff(i + p) == coeff(i - p) == value
 
 
 def test_coefficient_identities():
@@ -107,20 +154,18 @@ def test_coefficient_identities():
 
 
 def test_no_exact_zero_cases():
-    # delta = 0 mod p with a unit offset: no shift can zero a table slot.
-    with pytest.raises(NoExactZeroError):
+    # delta = 0 mod p with a unit offset: no shift can zero a coefficient.
+    with pytest.raises(NoExactZeroError, match="admits no exact zero"):
         build_dp2_params(5, 1, 5, 2)
-    params = build_dp2_params(5, 1, 5, 2, allow_missing_zero=True)
-    assert not params.alpha_has_zero
-    assert not params.beta_has_zero
-    assert all(v != 0 for v in params.alpha_table)
     # delta = 0 mod p with the offset congruent to zero but not exactly
-    # zero cannot keep every entry a unit or an exact zero
-    with pytest.raises(NoExactZeroError):
-        build_dp2_params(5, 1, 5, 1, allow_missing_zero=True)
+    # zero cannot keep every coefficient a unit or an exact zero
+    with pytest.raises(NoExactZeroError, match="degenerate parameters"):
+        build_dp2_params(5, 0, 5, 0)
     # all-zero degenerate family is representable
     degenerate = build_dp2_params(5, 0, 0, 0)
-    assert degenerate.alpha_table == (Fraction(0),) * 5
+    assert all(degenerate.alpha(n) == degenerate.beta(n) == 0
+               for n in range(-5, 10))
+    assert degenerate.alpha_units == degenerate.beta_units == (None,) * 5
     with pytest.raises(NonIntegralParameterError):
         build_dp2_params(5, Fraction(1, 5), 2, 2)
 
@@ -140,7 +185,7 @@ def test_dp2_step_singularity():
 
 
 def test_window_anchor_must_reduce_to_the_tables():
-    # alpha + beta = a holds for real tables; this stub breaks it mod p, so
+    # alpha + beta = a holds for real params; this stub breaks it mod p, so
     # the anchor (alpha0, a - alpha0) cannot reduce to (alpha(n0), beta(n0)).
     # The check raises, so it holds under python -O as well.
     broken = SimpleNamespace(p=5, a=Fraction(1), delta=Fraction(2),
@@ -160,7 +205,7 @@ def test_dp2_step_perturbed_pole_order():
 
 def scalar_step_oracle(u_prev, u, n, params):
     """Cross-check for the system step: the same recurrence in scalar form,
-    with the linear coefficient and constant read off the tables."""
+    with the linear coefficient and constant read off alpha and beta."""
     z = params.alpha(n) - params.beta(n)
     c = params.alpha(n) + params.beta(n)
     return (z * u + c) / (1 - u * u) - u_prev
@@ -182,7 +227,7 @@ def test_system_step_matches_scalar_oracle():
 
 def test_iterated_step_solves_table_form_recurrence():
     # y-components of the orbit reproduce the scalar sequence; checked on a
-    # window inside one period so the table values are the affine ones.
+    # window inside one period so the coefficients are the affine ones.
     params = build_dp2_params(5, 2, 2, -4)
     state = (Fraction(1, 2), Fraction(2))
     us = [state[1], state[0]]
@@ -223,12 +268,11 @@ def test_qrt_step_examples():
 def test_qrt_params_validation():
     with pytest.raises(NonIntegralParameterError):
         QRTParams(5, 2, 0)
-    QRTParams(5, 2, 0, allow_zero_a=True)
     with pytest.raises(NonIntegralParameterError):
         QRTParams(5, -1, 1)
 
 
-def test_good_reduction_away_from_singular_residues():
+def test_good_reduction_away_from_singular_points():
     # >= 1000 random states per prime, fixed seed
     rng = random.Random(2024)
     for p in (3, 5, 7, 11):
