@@ -253,7 +253,7 @@ def _csv_text(command: str, result: dict) -> str:
 
 
 def _public_params(args) -> dict:
-    skip = {"command", "format", "out", "func"}
+    skip = {"command", "format", "out"}
     out = {}
     for key in sorted(vars(args)):
         if key in skip:

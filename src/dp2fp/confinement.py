@@ -53,7 +53,9 @@ class ConfinementReport:
     ``pole_orders`` records ord0 of the x-coordinate per step (diagnostics);
     ``x_trace`` the per-step projective reduction of the x-limit (infinity
     for poles), so ``x_trace[-1]`` equals the confined x-image.  ``truncated``
-    marks a search ended early by the degree bound.
+    marks a search ended early by the degree bound; it is set exactly when
+    the status is DEGREE_OVERFLOW, and the traces then stop at the last
+    step computed.
     """
 
     status: ConfinementStatus
@@ -83,11 +85,11 @@ def confine(map_family, lift: SingularLift, max_steps: int = 30) -> ConfinementR
 
     Returns CONFINED with the smallest m <= max_steps such that both
     coordinates are regular at e = 0 and both limits have nonnegative
-    valuation, together with the reduced image.  Otherwise NOT_CONFINED
-    with the pole-order trace; if the degree bound fires after the orbit
-    has already shown a pole, the blowup itself is the divergence and the
-    report is NOT_CONFINED with ``truncated`` set.  A degree overflow with
-    no pole in evidence stays DEGREE_OVERFLOW.
+    valuation, together with the reduced image.  If the degree bound fires
+    first, the search is cut short and the report is DEGREE_OVERFLOW with
+    ``truncated`` set, whatever poles the orbit has shown: a budget hit is
+    not a verdict.  Otherwise NOT_CONFINED after max_steps, with the
+    pole-order trace.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -103,10 +105,8 @@ def confine(map_family, lift: SingularLift, max_steps: int = 30) -> ConfinementR
         try:
             x, y = runner.step(x, y, lift.n0 + j - 1)
         except DegreeOverflowError:
-            saw_pole = any(o is not PLUS_INFINITY and o < 0 for o in pole_orders)
-            status = (ConfinementStatus.NOT_CONFINED if saw_pole
-                      else ConfinementStatus.DEGREE_OVERFLOW)
-            return ConfinementReport(status=status, pole_orders=pole_orders,
+            return ConfinementReport(status=ConfinementStatus.DEGREE_OVERFLOW,
+                                     pole_orders=pole_orders,
                                      x_trace=x_trace, truncated=True)
         ox, oy = x.ord0(), y.ord0()
         pole_orders.append(ox)
@@ -165,83 +165,37 @@ def verify_confinement_samples(map_family, lift: SingularLift,
     return True
 
 
-def _fp_nullspace(rows, p):
-    """Basis of the nullspace of a matrix over F_p (lists of ints)."""
-    cols = 4
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] % p), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = pow(mat[r][c], -1, p)
-        mat[r] = [(v * inv) % p for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] % p:
-                f = mat[i][c]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * cols
-        vec[fc] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = (-mat[i][fc]) % p
-        basis.append(vec)
-    return basis
-
-
-def _mobius_matches(coeffs, samples, p):
-    a, b, c, d = coeffs
-    for y_res, v in samples:
-        num = (a * y_res + b) % p
-        den = (c * y_res + d) % p
-        if v.is_infinity:
-            if den != 0 or num == 0:
-                return False
-        else:
-            if den == 0 or num != (v.residue * den) % p:
-                return False
-    return True
-
-
 def fits_fractional_linear(samples, p: int) -> bool:
     """Whether samples (residue, projective value) lie on one map
-    y -> (a*y + b)/(c*y + d) with numerator and denominator of degree <= 1.
+    y -> (a*y + b)/(c*y + d) over F_p, defined at every sample point.
 
-    Infinite values demand a denominator root; the fitted map must be
-    defined (not 0/0) at every sample point.
+    Such a map is a constant (infinity included) or a Moebius map in
+    PGL_2(F_p).  PGL_2(F_p) acts sharply 3-transitively on P^1(F_p), so
+    three samples with distinct values fix the map, and each further sample
+    must keep the cross-ratio of the first three.  The residues must be
+    distinct: the cross-ratio test is wrong on repeated residues.
     """
-    if len(samples) <= 1:
+    ys = [y % p for y, _ in samples]
+    if len(set(ys)) < len(ys):
+        raise ValueError("fits_fractional_linear needs distinct residues")
+    vs = [v.residue for _, v in samples]
+    distinct = len(set(vs))
+    if distinct <= 1:
         return True
-    rows = []
-    for y_res, v in samples:
-        if v.is_infinity:
-            rows.append((0, 0, y_res % p, 1))
-        else:
-            rows.append((y_res % p, 1, (-v.residue * y_res) % p,
-                         (-v.residue) % p))
-    basis = _fp_nullspace(rows, p)
-    if not basis:
+    if distinct < len(vs):
         return False
-    if len(basis) >= 3:
+    if len(vs) <= 3:
         return True
-    # Search the small solution space for a representative defined everywhere.
-    if len(basis) == 1:
-        candidates = [basis[0]]
-    else:
-        candidates = []
-        for s in range(p):
-            candidates.append([(u + s * w) % p for u, w in zip(basis[0], basis[1])])
-        candidates.append(basis[1])
-    return any(_mobius_matches(cand, samples, p)
-               for cand in candidates if any(cand))
+    # Projective pairs: (y : 1), (v : 1), and (1 : 0) for infinity.
+    pts = [((y, 1), (1, 0) if v is None else (v, 1)) for y, v in zip(ys, vs)]
+
+    def br(u, w):
+        return u[0] * w[1] - w[0] * u[1]
+
+    (y1, v1), (y2, v2), (y3, v3) = pts[:3]
+    return all((br(y1, y3) * br(y2, y) * br(v1, v) * br(v2, v3)
+                - br(v1, v3) * br(v2, v) * br(y1, y) * br(y2, y3)) % p == 0
+               for y, v in pts[3:])
 
 
 @dataclass

@@ -84,10 +84,6 @@ class DP2Params:
         return (-(n % self.p) * self.delta - self.z0 + self.a
                 + self.n_beta * self.p) / 2
 
-    def z(self, n: int) -> Fraction:
-        """The unreduced linear coefficient z_n = delta*n + z0."""
-        return self.delta * n + self.z0
-
 
 def build_dp2_params(p, a, delta, z0) -> DP2Params:
     """Parameters with an exact zero placed in each period of alpha and beta.

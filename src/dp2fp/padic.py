@@ -31,16 +31,35 @@ PLUS_INFINITY = math.inf
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
+#: Miller-Rabin bases that decide primality for every n < 2**64; the
+#: least composite passing all twelve is 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 @lru_cache(maxsize=None)
 def is_odd_prime(p: int) -> bool:
-    """Trial-division primality for odd p >= 3 (2 is rejected by design)."""
+    """Deterministic Miller-Rabin primality for odd 3 <= p < 2**64 (2 is
+    rejected by design).  Raises InvalidPrimeError for p >= 2**64, where
+    the twelve bases no longer decide."""
     if not isinstance(p, int) or p < 3 or p % 2 == 0:
         return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p >= 2**64:
+        raise InvalidPrimeError(f"modulus must be below 2**64, got {p!r}")
+    if p in _MR_BASES:
+        return True
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -128,9 +128,9 @@ def test_agr_scan_qrt_not_confined(capsys):
     code, payload = run_json(
         capsys, "agr-scan", "--map", "qrt", "--gamma", "3", "--a", "1",
         "--p", "5")
-    assert code == 0   # the scan succeeded; the finding is data
+    assert code == 0   # the scan succeeded; the budget hit is data
     statuses = {r["status"] for r in payload["result"]["reports"]}
-    assert "NOT_CONFINED" in statuses
+    assert statuses == {"DEGREE_OVERFLOW"}
     assert payload["result"]["has_agr"] is False
 
 

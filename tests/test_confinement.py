@@ -1,8 +1,12 @@
 """The confinement engine against the known lengths, images, and patterns."""
 
+import itertools
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dp2fp import (
     ConfinementStatus,
@@ -15,11 +19,13 @@ from dp2fp import (
     build_dp2_params,
     confine,
     confine_dp2_case,
+    degree_limit,
     reduce_proj,
     verify_confinement_samples,
 )
 from dp2fp.confinement import fits_fractional_linear
 from dp2fp.errors import DivisionByZeroError
+from dp2fp.mapexpr import CustomMap
 from dp2fp.padic import PLUS_INFINITY
 
 TAU5 = dict(p=5, a=-8, delta=2, z0=2)
@@ -61,7 +67,7 @@ class TestQRTFamily:
     def test_gamma3_not_confined_with_deepening_poles(self):
         fam = QRTMap(QRTParams(p=5, gamma=3, a=1))
         rep = confine(fam, SingularLift(s=Fraction(0), y0=Fraction(1)))
-        assert rep.status is ConfinementStatus.NOT_CONFINED
+        assert rep.status is ConfinementStatus.DEGREE_OVERFLOW
         assert rep.truncated
         poles = [o for o in rep.pole_orders
                  if o is not PLUS_INFINITY and o < 0]
@@ -221,8 +227,8 @@ class TestScan:
         res = agr_scan(QRTMap(QRTParams(p=5, gamma=3, a=1)))
         assert not res.all_confined
         assert not res.has_agr
-        statuses = {r.report.status for r in res.records}
-        assert ConfinementStatus.NOT_CONFINED in statuses
+        assert all(r.report.status is ConfinementStatus.DEGREE_OVERFLOW
+                   and r.report.truncated for r in res.records)
 
     def test_dp2_scan_clean_set(self):
         res = agr_scan(DP2Map(build_dp2_params(5, 4, 2, 2)))
@@ -232,6 +238,23 @@ class TestScan:
     def test_scan_prime_guard(self):
         with pytest.raises(ValueError):
             agr_scan(QRTMap(QRTParams(p=103, gamma=2, a=1)))
+
+    def test_hietarinta_viallet_overflow_is_a_budget_hit(self):
+        # HV confines, but the default degree bound fires in the
+        # intermediate x + 1/x^2 at step 4, after two poles.
+        fam = CustomMap("x + 1/x^2 - y", "x", 5)
+        res = agr_scan(fam)
+        assert not res.has_agr
+        assert all(r.report.status is ConfinementStatus.DEGREE_OVERFLOW
+                   and r.report.truncated for r in res.records)
+        with degree_limit(None):
+            res = agr_scan(fam)
+        assert res.has_agr
+        assert len(res.records) == 5
+        for r in res.records:
+            assert r.report.status is ConfinementStatus.CONFINED
+            assert r.report.m == 4
+            assert r.report.image == (proj(5, r.y_residue), proj(5, 0))
 
 
 class TestFractionalLinearFit:
@@ -255,6 +278,73 @@ class TestFractionalLinearFit:
         p = 7
         samples = [(y, FpProj(p, (y * y) % p)) for y in range(p)]
         assert not fits_fractional_linear(samples, p)
+
+    def test_repeated_residues_are_refused(self):
+        with pytest.raises(ValueError, match="distinct residues"):
+            fits_fractional_linear([(1, proj(5, 2)), (6, proj(5, 3))], 5)
+        with pytest.raises(ValueError, match="distinct residues"):
+            fits_fractional_linear([(2, INF5), (2, INF5)], 5)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_agrees_with_brute_force_on_every_sample_list(self, p):
+        values = _values(p)
+        for k in range(p + 1):
+            for ys in itertools.combinations(range(p), k):
+                for vs in itertools.product(values, repeat=k):
+                    samples = list(zip(ys, vs))
+                    assert fits_fractional_linear(samples, p) == \
+                        _brute_force_fits(samples, p), samples
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_agrees_with_brute_force_at_p7_and_p11(self, data):
+        p = data.draw(st.sampled_from((7, 11)))
+        values = _values(p)
+        mode = data.draw(st.sampled_from(("map", "one value off", "random")))
+        if mode == "random":
+            ys = data.draw(st.lists(st.integers(0, p - 1), unique=True))
+            samples = [(y, data.draw(st.sampled_from(values))) for y in ys]
+        else:
+            # a restriction of some map, so that fits are common
+            graph = dict(data.draw(st.sampled_from(_graphs(p))))
+            ys = data.draw(st.lists(st.sampled_from(sorted(graph)),
+                                    unique=True))
+            samples = [(y, graph[y]) for y in ys]
+            if samples and mode == "one value off":
+                i = data.draw(st.integers(0, len(samples) - 1))
+                samples[i] = (samples[i][0], data.draw(st.sampled_from(values)))
+        assert fits_fractional_linear(samples, p) == \
+            _brute_force_fits(samples, p)
+
+
+def _values(p):
+    return [FpProj(p, r) for r in range(p)] + [FpProj.infinity(p)]
+
+
+@cache
+def _graphs(p):
+    """Graph of y -> (a*y + b)/(c*y + d) for every nonzero (a, b, c, d) in
+    F_p^4, as pairs (y, value) over the residues where the map is defined:
+    not num = den = 0.  An infinite value has den = 0 and num != 0."""
+    graphs = {}
+    for a, b, c, d in itertools.product(range(p), repeat=4):
+        if not (a or b or c or d):
+            continue
+        graph = []
+        for y in range(p):
+            num, den = (a * y + b) % p, (c * y + d) % p
+            if den:
+                graph.append((y, FpProj(p, num * pow(den, -1, p))))
+            elif num:
+                graph.append((y, FpProj.infinity(p)))
+        graphs[frozenset(graph)] = None
+    return list(graphs)
+
+
+def _brute_force_fits(samples, p):
+    """Whether the samples are the restriction of one map's graph."""
+    wanted = frozenset(samples)
+    return any(wanted <= graph for graph in _graphs(p))
 
 
 def test_random_clean_parameter_sets_confine_everywhere():
@@ -307,7 +397,6 @@ def test_confine_rejects_bad_arguments():
 def test_true_singularity_propagates():
     # A custom-style family whose denominator does not involve the
     # perturbed coordinate raises instead of pretending to confine.
-    from dp2fp.mapexpr import CustomMap
     fam = CustomMap("(x+1)/(y-y)", "x", 5)
     with pytest.raises(DivisionByZeroError):
         confine(fam, SingularLift(s=Fraction(0), y0=Fraction(0)))

@@ -150,7 +150,7 @@ def test_coefficient_identities():
         assert s == params.a + (params.n_alpha + params.n_beta) * p / 2
         assert reduce_mod(s, p) == reduce_mod(params.a, p)
         assert reduce_mod(params.alpha(n) - params.beta(n), p) == \
-            reduce_mod(params.z(n), p)
+            reduce_mod(params.delta * n + params.z0, p)
 
 
 def test_no_exact_zero_cases():

@@ -82,6 +82,37 @@ def test_two_is_rejected_everywhere():
         reduce_proj(Fraction(1), 9)
 
 
+def _trial_division_odd_prime(n):
+    if n < 3 or n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    miller_rabin = is_odd_prime.__wrapped__   # keep the cache small
+    assert all(miller_rabin(n) == _trial_division_odd_prime(n)
+               for n in range(-2, 200_000))
+
+
+def test_miller_rabin_large_moduli():
+    # strong pseudoprimes to the first few bases
+    assert not is_odd_prime(3215031751)
+    assert not is_odd_prime(3825123056546413051)
+    assert is_odd_prime(2**61 - 1)
+    assert is_odd_prime(2**64 - 59)             # the largest prime below 2**64
+    assert not is_odd_prime(2**64 - 1)
+    # a composite that passes all twelve bases: hence the bound
+    with pytest.raises(InvalidPrimeError, match="2\\*\\*64"):
+        is_odd_prime(318665857834031151167461)
+    with pytest.raises(InvalidPrimeError, match="2\\*\\*64"):
+        FpElem(1, 2**64 + 13)
+
+
 def test_modulus_mismatch_is_an_error():
     with pytest.raises(ModulusMismatchError):
         FpElem(1, 5) + FpElem(1, 7)
