@@ -40,6 +40,21 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _at_least(minimum: int):
+    """argparse type: an int >= minimum, else a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
 def _param_binding(text: str):
     name, sep, value = text.partition("=")
     if not sep or not name:
@@ -67,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--z0", type=_rational, required=True)
     sp.add_argument("--u0", type=int, required=True, help="residue of u_0")
     sp.add_argument("--u1", type=int, required=True, help="residue of u_1")
-    sp.add_argument("--steps", type=int, default=20)
+    sp.add_argument("--steps", type=_at_least(0), default=20)
     add_output_flags(sp)
 
     sp = sub.add_parser("tau-orbit",
@@ -75,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--lambda", dest="lam", type=_rational, required=True)
-    sp.add_argument("--count", type=int, default=None,
+    sp.add_argument("--count", type=_at_least(0), default=None,
                     help="sequence length (default 2p)")
     add_output_flags(sp)
 
@@ -90,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--expr-y", default=None)
     sp.add_argument("--param", action="append", type=_param_binding,
                     default=[], metavar="NAME=VALUE")
-    sp.add_argument("--max-steps", type=int, default=30)
+    sp.add_argument("--max-steps", type=_at_least(1), default=30)
     add_output_flags(sp)
 
     sp = sub.add_parser("reduce", help="projective reduction of a rational")
@@ -121,7 +136,7 @@ def _cmd_evolve(args):
     check_odd_prime(args.p)
     params = build_dp2_params(args.p, args.a, args.delta, args.z0)
     values = fpdynamics.iterate_dp2_residues(args.u0, args.u1, params)
-    orbit = list(islice(values, max(args.steps, 0)))
+    orbit = list(islice(values, args.steps))
     period = fpdynamics.detect_period(chain(orbit, values), args.p)
     return {"sequence": [_residue_text(v) for v in orbit], "period": period}
 

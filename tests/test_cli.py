@@ -1,5 +1,6 @@
 """Command-line surface: payload shapes, determinism, error codes, CSV."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -104,6 +105,31 @@ def test_evolve_pinned_outputs(capsys, argv, params, result):
                        "result": result, "errors": []}
 
 
+# SHA-256 of the JSON output of agr-scans whose perturbation arithmetic
+# covers the gcd paths and the degree bound: dP-II at p = 7 with generic a,
+# a = -delta and a = delta; QRT gamma = 2 and gamma = 3 (every record a
+# degree overflow) at p = 5; the Hietarinta-Viallet custom map at p = 5.
+@pytest.mark.parametrize("argv,digest", [
+    (("--map", "dp2", "--p", "7", "--a", "1", "--delta", "3", "--z0", "2"),
+     "1104930beeb81c116dfe9eedc2e9ddf50ddeddae5a76e385f853bfcc0b0e1123"),
+    (("--map", "dp2", "--p", "7", "--a=-3", "--delta", "3", "--z0", "2"),
+     "9647821fe34c6a335cc3936c455b93be063dc8e7408cffe79dc19b589d6a3dae"),
+    (("--map", "dp2", "--p", "7", "--a", "3", "--delta", "3", "--z0", "2"),
+     "bd1cf5b1456d9bcbb014c861c5b22a60bac342057554457191368bb4896d5112"),
+    (("--map", "qrt", "--p", "5", "--gamma", "2", "--a", "1"),
+     "fee39bb4d688a945ddef58d1554e7c6c6a24b221dc9465d58c13cb90ea957e7f"),
+    (("--map", "qrt", "--p", "5", "--gamma", "3", "--a", "1"),
+     "bcbfe4ced867def143434f8a959a55c85ac85d5a00f446c8fc1c59140059aa97"),
+    (("--map", "custom", "--p", "5", "--expr-x", "x + 1/x^2 - y",
+      "--expr-y", "x"),
+     "6385c998f10a23f7e255d406a83c4ff8728382a2b893f63eb56e4a9820a20ad7"),
+])
+def test_agr_scan_pinned_outputs(capsys, argv, digest):
+    code, out = run(capsys, "agr-scan", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv", [
     ("evolve", "--p", "11", "--a=-8", "--delta", "2", "--z0", "2",
      "--u0", "1", "--u1", "6", "--steps", "30"),
@@ -200,6 +226,23 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    # Count options below their least value are usage errors too.
+    qrt = ["agr-scan", "--map", "qrt", "--gamma", "2", "--a", "1", "--p", "5"]
+    evolve = ["evolve", "--p", "5", "--a", "1", "--delta", "2", "--z0", "3",
+              "--u0", "1", "--u1", "2"]
+    for argv in (qrt + ["--max-steps", "0"], qrt + ["--max-steps", "-3"],
+                 evolve + ["--steps", "-4"],
+                 ["tau-orbit", "--p", "5", "--N", "3", "--lambda", "1",
+                  "--count", "-3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be >= " in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(evolve + ["--steps", "x"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'x'" in capsys.readouterr().err
 
 
 def test_invalid_prime_is_domain_error(capsys):

@@ -1,12 +1,14 @@
 """Perturbation polynomials and their quotient field."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dp2fp import EpsPoly, EpsRational, degree_limit, eval0, ord0
+from dp2fp import epsfield
 from dp2fp.epsfield import (GCD_CHECK_PRIME, ONE, ZERO, _certified_coprime,
                             _exact_div, poly_gcd)
 from dp2fp.errors import (DegreeOverflowError, DivisionByZeroError, Dp2Error,
@@ -56,13 +58,12 @@ def test_canonical_form_is_structural():
     assert h.den.coeffs[h.den.ord()] == 1
 
 
-def test_poly_divmod_and_gcd():
-    a = EpsPoly((2, 3, 1))      # (1+e)(2+e)
-    b = EpsPoly((1, 1))
-    q, r = a.divmod(b)
-    assert r.is_zero and q == EpsPoly((2, 1))
-    assert poly_gcd(a, b) == EpsPoly((1, 1))
-    assert poly_gcd(b, ZERO) == EpsPoly((1, 1))
+def test_exact_div_and_gcd():
+    a = (2, 3, 1)       # (1+e)(2+e)
+    b = (1, 1)
+    assert _exact_div(a, b) == (2, 1)
+    assert poly_gcd(a, b) == (1, 1)
+    assert poly_gcd(b, ()) == (1, 1)
 
 
 def test_degree_bound_raises():
@@ -137,11 +138,13 @@ def test_field_axioms_spot_checks(f, g):
 @settings(max_examples=250, deadline=None)
 @given(f=eps_rationals())
 def test_canonical_gcd_one(f):
-    g = poly_gcd(f.num, f.den)
-    assert g.degree <= 0
+    num, den = f._num, f._den
+    assert poly_gcd(num, den) == (1,)
+    assert gcd(*num, *den) == 1                   # content 1
+    assert next(c for c in den if c) > 0          # den's trailing sign
 
 
-# -- the gcd and power shortcuts against plain references ------------------
+# -- the integer kernel against Fraction references over Q -----------------
 
 def _trim(coeffs):
     coeffs = list(coeffs)
@@ -150,15 +153,15 @@ def _trim(coeffs):
     return coeffs
 
 
-def _remainder(a, b):
-    rem = list(a)
-    while len(rem) >= len(b):
-        c = rem[-1] / b[-1]
-        shift = len(rem) - len(b)
+def ref_divmod(a, b):
+    """Long division over Q: quotient and remainder coefficient lists."""
+    rem = [Fraction(c) for c in a]
+    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for shift in range(len(quo) - 1, -1, -1):
+        c = quo[shift] = rem[shift + len(b) - 1] / b[-1]
         for j, y in enumerate(b):
             rem[shift + j] -= c * y
-        rem = _trim(rem[:-1])
-    return rem
+    return _trim(quo), _trim(rem[:len(b) - 1])
 
 
 def reference_gcd(a, b):
@@ -167,18 +170,177 @@ def reference_gcd(a, b):
     a = _trim(Fraction(c) for c in a)
     b = _trim(Fraction(c) for c in b)
     while b:
-        a, b = b, _remainder(a, b)
+        a, b = b, ref_divmod(a, b)[1]
     return tuple(c / a[-1] for c in a)
+
+
+def ref_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += Fraction(x) * y
+    return out
+
+
+def ints(coeffs):
+    """Fraction coefficients times their common denominator."""
+    coeffs = _trim(Fraction(c) for c in coeffs)
+    scale = lcm(*(c.denominator for c in coeffs))
+    return tuple(int(c * scale) for c in coeffs)
+
+
+def monic(coeffs):
+    return tuple(Fraction(c, coeffs[-1]) for c in coeffs)
+
+
+class Ref:
+    """An element of Q(e) as Fraction coefficient lists, reduced by
+    Euclid over Q and scaled to den's trailing coefficient 1: the oracle
+    for EpsRational."""
+
+    def __init__(self, num, den=(1,)):
+        num, den = _trim(Fraction(c) for c in num), _trim(den)
+        if not num:
+            num, den = [], [Fraction(1)]
+        g = reference_gcd(num, den)
+        (num, r), (den, s) = ref_divmod(num, g), ref_divmod(den, g)
+        assert not r and not s
+        t = next(c for c in den if c)
+        self.num = tuple(c / t for c in num)
+        self.den = tuple(c / t for c in den)
+        self.degree = max(len(self.num), len(self.den)) - 1
+
+    def __add__(self, o):
+        return Ref(ref_add(ref_mul(self.num, o.den), ref_mul(o.num, self.den)),
+                   ref_mul(self.den, o.den))
+
+    def __neg__(self):
+        return Ref([-c for c in self.num], self.den)
+
+    def __mul__(self, o):
+        return Ref(ref_mul(self.num, o.num), ref_mul(self.den, o.den))
+
+    def inverse(self):
+        return Ref(self.den, self.num)
+
+
+def _ref_pow(f, k):
+    out = Ref((1,))
+    for _ in range(k):
+        out = out * f
+    return out
+
+
+# Each operation with the canonical values it forms: f - g forms -g and
+# f / g forms 1/g on the way, and a power forms only its result.
+OPERATIONS = {
+    "+": (lambda f, g: f + g, lambda f, g: [f + g]),
+    "-": (lambda f, g: f - g, lambda f, g: [-g, f + -g]),
+    "*": (lambda f, g: f * g, lambda f, g: [f * g]),
+    "/": (lambda f, g: f / g, lambda f, g: [g.inverse(), f * g.inverse()]),
+    "**0": (lambda f, g: f ** 0, lambda f, g: [_ref_pow(f, 0)]),
+    "**1": (lambda f, g: f ** 1, lambda f, g: [_ref_pow(f, 1)]),
+    "**3": (lambda f, g: f ** 3, lambda f, g: [_ref_pow(f, 3)]),
+}
+
+
+def assert_agrees(value, ref):
+    assert value.num.coeffs == ref.num
+    assert value.den.coeffs == ref.den
+    o = ord0(value)
+    ref_o = PLUS_INFINITY if not ref.num else (
+        next(i for i, c in enumerate(ref.num) if c)
+        - next(i for i, c in enumerate(ref.den) if c))
+    assert o == ref_o
+    if o >= 0:
+        assert eval0(value) == (Fraction(0) if o else ref.num[o] / ref.den[o])
+
+
+def check_against_reference(f_pair, g_pair, bound):
+    """Every operation on EpsRationals agrees with the reference and,
+    under degree_limit(bound), overflows exactly when some canonical
+    value the reference forms exceeds the bound."""
+    f, g = EpsRational(*f_pair), EpsRational(*g_pair)
+    rf, rg = Ref(*f_pair), Ref(*g_pair)
+    assert_agrees(f, rf)
+    assert_agrees(g, rg)
+    for name, (op, ref_op) in OPERATIONS.items():
+        if name == "/" and g.is_zero:
+            continue
+        formed = ref_op(rf, rg)
+        with degree_limit(bound):
+            try:
+                value = op(f, g)
+            except DegreeOverflowError:
+                value = None
+        overflows = bound is not None and max(
+            r.degree for r in formed) > bound
+        assert (value is None) == overflows, name
+        if value is not None:
+            assert_agrees(value, formed[-1])
+
+
+small_pairs = st.tuples(
+    st.lists(small_fracs, min_size=0, max_size=4),
+    st.lists(small_fracs, min_size=1, max_size=4).filter(any))
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=small_pairs, g=small_pairs,
+       bound=st.one_of(st.none(), st.integers(0, 8)))
+def test_kernel_matches_the_euclid_reference(f, g, bound):
+    check_against_reference(f, g, bound)
 
 
 def poly_lists(max_size=5):
     return st.lists(small_fracs, min_size=0, max_size=max_size)
 
 
+Q = GCD_CHECK_PRIME
+SHARED_Q = (1, 1, Q)            # 1 + e + q e^2: its leading coefficient is 0 mod q
+# Pairs (f, g) whose gcds the modular certificate refuses, so the kernel
+# runs the primitive PRS: shared factors with a leading coefficient
+# divisible by q, 1 + e against 1 - q + e (coprime, but equal mod q), and
+# shared factors of positive degree that are not powers of e.  e against
+# e - q is refused too, but its gcd is read off the orders of e.
+PRS_CASES = [
+    ((ref_mul(SHARED_Q, (2, 1)), ref_mul(SHARED_Q, (3, -1))),
+     (SHARED_Q, (5, 1)), True),
+    (((1,), SHARED_Q), ((2,), ref_mul(SHARED_Q, (1, 1))), True),
+    (((1,), (1, 1)), ((1,), (1 - Q, 1)), True),
+    (((1, 1), (0, 1)), ((1,), (-Q, 1)), False),
+    (((2, 3, 1), (0, 3, 4, 1)), ((1, 2, 1), (6, 5, 1)), True),
+    (((Fraction(1, 2), 0, 1), (0, 0, 1, 0, 1)), ((0, 1, 1), (1, 0, -1)), True),
+]
+
+
+@pytest.mark.parametrize("bound", [None, 3, 6])
+@pytest.mark.parametrize("f,g,runs_prs", PRS_CASES)
+def test_kernel_matches_the_reference_on_the_prs_path(f, g, runs_prs, bound,
+                                                      monkeypatch):
+    runs = []
+    prs = epsfield._prs_gcd
+    monkeypatch.setattr(epsfield, "_prs_gcd",
+                        lambda a, b: runs.append((a, b)) or prs(a, b))
+    check_against_reference(f, g, bound)
+    if bound is None:
+        assert bool(runs) == runs_prs
+
+
 @settings(max_examples=200, deadline=None)
 @given(a=poly_lists(), b=poly_lists())
 def test_poly_gcd_matches_reference(a, b):
-    assert poly_gcd(EpsPoly(a), EpsPoly(b)).coeffs == reference_gcd(a, b)
+    g = poly_gcd(ints(a), ints(b))
+    assert monic(g) == reference_gcd(a, b)
+    assert not g or (g[-1] > 0 and gcd(*g) == 1)    # primitive
 
 
 @settings(max_examples=200, deadline=None)
@@ -186,42 +348,44 @@ def test_poly_gcd_matches_reference(a, b):
        h=st.lists(small_fracs, min_size=2, max_size=3).filter(
            lambda h: h[-1] != 0))
 def test_poly_gcd_finds_a_shared_factor(f, g, h):
-    a, b = EpsPoly(f) * EpsPoly(h), EpsPoly(g) * EpsPoly(h)
-    expected = reference_gcd(a.coeffs, b.coeffs)
-    assert poly_gcd(a, b).coeffs == expected
-    if not a.is_zero and not b.is_zero:
+    a, b = ref_mul(f, h), ref_mul(g, h)
+    expected = reference_gcd(a, b)
+    assert monic(poly_gcd(ints(a), ints(b))) == expected
+    if any(a) and any(b):
         assert len(expected) >= len(h)    # h divides the gcd
 
 
 def test_poly_gcd_falls_back_when_q_divides_a_denominator():
-    q = GCD_CHECK_PRIME
-    shared = EpsPoly((Fraction(1, q), 1))              # e + 1/q
-    a = shared * EpsPoly((2, 1))
-    b = shared * EpsPoly((3, 1))
-    assert not _certified_coprime(a.coeffs, b.coeffs)
-    assert poly_gcd(a, b) == shared
-    coprime = EpsPoly((Fraction(1, q), 1)), EpsPoly((2, 1))
-    assert not _certified_coprime(*(f.coeffs for f in coprime))
-    assert poly_gcd(*coprime) == ONE
+    # Clearing the denominator q of e + 1/q gives 1 + q*e, whose leading
+    # coefficient the certificate refuses.
+    shared = (Fraction(1, Q), 1)                       # e + 1/q
+    a, b = ints(ref_mul(shared, (2, 1))), ints(ref_mul(shared, (3, 1)))
+    assert not _certified_coprime(a, b)
+    assert monic(poly_gcd(a, b)) == shared
+    coprime = ints((Fraction(1, Q), 1)), ints((2, 1))
+    assert not _certified_coprime(*coprime)
+    assert poly_gcd(*coprime) == (1,)
 
 
 def test_poly_gcd_falls_back_when_coprime_only_over_q():
     # e and e - q are coprime over Q but equal mod q, so the certificate
     # cannot decide them; a leading coefficient divisible by q is refused.
-    q = GCD_CHECK_PRIME
-    e, e_minus_q = EpsPoly((0, 1)), EpsPoly((-q, 1))
-    assert not _certified_coprime(e.coeffs, e_minus_q.coeffs)
-    assert poly_gcd(e, e_minus_q) == ONE
-    lead_q = EpsPoly((1, 1, q))
-    assert not _certified_coprime(lead_q.coeffs, e.coeffs)
-    assert poly_gcd(lead_q, e) == ONE
+    e, e_minus_q = (0, 1), (-Q, 1)
+    assert not _certified_coprime(e, e_minus_q)
+    assert poly_gcd(e, e_minus_q) == (1,)
+    lead_q = (1, 1, Q)
+    assert not _certified_coprime(lead_q, e)
+    assert poly_gcd(lead_q, e) == (1,)
+    one_plus_e, one_minus_q_plus_e = (1, 1), (1 - Q, 1)
+    assert not _certified_coprime(one_plus_e, one_minus_q_plus_e)
+    assert poly_gcd(one_plus_e, one_minus_q_plus_e) == (1,)
 
 
 def test_poly_gcd_with_a_constant_is_one():
-    assert poly_gcd(EpsPoly((3,)), EpsPoly((2, 3, 1))) == ONE
-    assert poly_gcd(EpsPoly((1, 1)), EpsPoly((Fraction(-1, 7),))) == ONE
-    assert poly_gcd(EpsPoly((5,)), ZERO) == ONE
-    assert poly_gcd(ZERO, ZERO) == ZERO
+    assert poly_gcd((3,), (2, 3, 1)) == (1,)
+    assert poly_gcd((1, 1), ints((Fraction(-1, 7),))) == (1,)
+    assert poly_gcd((5,), ()) == (1,)
+    assert poly_gcd((), ()) == ()
 
 
 def repeated_product(f, k):
@@ -236,7 +400,8 @@ def repeated_product(f, k):
 def test_pow_equals_repeated_product(f, k):
     power = f ** k
     assert power == repeated_product(f, k)
-    assert poly_gcd(power.num, power.den) == ONE
+    assert poly_gcd(power._num, power._den) == (1,)
+    assert gcd(*power._num, *power._den) == 1
     assert power.den.trailing() == 1
 
 
@@ -255,4 +420,8 @@ def test_pow_overflows_exactly_when_repeated_product_does(f, k, bound):
 
 def test_exact_div_raises_on_a_remainder():
     with pytest.raises(Dp2Error):
-        _exact_div(EpsPoly((1, 1)), EpsPoly((2, 1)))
+        _exact_div((1, 1), (2, 1))
+    with pytest.raises(Dp2Error):
+        _exact_div((1, 1), (1, 2))      # exact over Q, not in Z[e]
+    with pytest.raises(Dp2Error):
+        _exact_div((1,), (1, 1))
