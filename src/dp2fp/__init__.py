@@ -15,6 +15,7 @@ from .confinement import (
     agr_scan,
     confine,
     confine_dp2_case,
+    sample_images,
     verify_confinement_samples,
 )
 from .epsfield import EpsPoly, EpsRational, degree_limit, eval0, ord0
@@ -57,7 +58,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfinementReport", "ConfinementStatus", "ScanRecord", "ScanResult",
     "SingularLift", "agr_scan", "confine", "confine_dp2_case",
-    "verify_confinement_samples",
+    "sample_images", "verify_confinement_samples",
     "EpsPoly", "EpsRational", "degree_limit", "eval0", "ord0",
     "Dp2Error",
     "FpState", "PatternOutput", "detect_period", "dp2_fp_orbit",

@@ -7,9 +7,12 @@ first iterate whose limit at e = 0 exists and is p-integral in both
 coordinates.  That iterate count is the confinement length m, and the
 projective reduction of the limit is the confined image.
 
-Confinement of the limit is cross-checked against plain rational orbits:
-substituting e = c * p**k for nine small (c, k) choices and iterating over Q
-must reproduce the image after m steps.  Disagreement marks the report as
+The image is the same for every lift e in pZ_p when the confined pair of
+integer polynomials passes ``EpsRational.reduces_uniformly``: a proof for
+all lifts, which ``confine`` records as ``certified``.  A record it does not
+certify is tested on plain rational orbits instead: substituting
+e = c * p**k for nine small (c, k) choices and iterating over Q must
+reproduce the image after m steps.  Disagreement marks the report as
 ambiguous rather than guessing which lift is authoritative.
 """
 
@@ -18,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import count, islice
 
 from .epsfield import EpsPoly, EpsRational
 from .errors import DegreeOverflowError, DivisionByZeroError
@@ -55,7 +59,9 @@ class ConfinementReport:
     for poles), so ``x_trace[-1]`` equals the confined x-image.  ``truncated``
     marks a search ended early by the degree bound; it is set exactly when
     the status is DEGREE_OVERFLOW, and the traces then stop at the last
-    step computed.
+    step computed.  ``certified`` marks a CONFINED report whose image every
+    lift e in pZ_p reduces to wherever the orbit is defined: both
+    coordinates pass ``EpsRational.reduces_uniformly``.
     """
 
     status: ConfinementStatus
@@ -64,6 +70,7 @@ class ConfinementReport:
     pole_orders: list = field(default_factory=list)
     x_trace: list = field(default_factory=list)
     truncated: bool = False
+    certified: bool = False
 
 
 def _proj_of(value: EpsRational, p: int) -> FpProj:
@@ -85,11 +92,11 @@ def confine(map_family, lift: SingularLift, max_steps: int = 30) -> ConfinementR
 
     Returns CONFINED with the smallest m <= max_steps such that both
     coordinates are regular at e = 0 and both limits have nonnegative
-    valuation, together with the reduced image.  If the degree bound fires
-    first, the search is cut short and the report is DEGREE_OVERFLOW with
-    ``truncated`` set, whatever poles the orbit has shown: a budget hit is
-    not a verdict.  Otherwise NOT_CONFINED after max_steps, with the
-    pole-order trace.
+    valuation, together with the reduced image and whether it is certified
+    independent of the lift.  If the degree bound fires first, the search
+    is cut short and the report is DEGREE_OVERFLOW with ``truncated`` set,
+    whatever poles the orbit has shown: a budget hit is not a verdict.
+    Otherwise NOT_CONFINED after max_steps, with the pole-order trace.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -116,10 +123,12 @@ def confine(map_family, lift: SingularLift, max_steps: int = 30) -> ConfinementR
             vx, vy = x.eval0(), y.eval0()
             if vp(vx, p) >= 0 and vp(vy, p) >= 0:
                 image = (reduce_proj(vx, p), reduce_proj(vy, p))
+                certified = (x.reduces_uniformly(p)
+                             and y.reduces_uniformly(p))
                 return ConfinementReport(status=ConfinementStatus.CONFINED,
                                          m=j, image=image,
                                          pole_orders=pole_orders,
-                                         x_trace=x_trace)
+                                         x_trace=x_trace, certified=certified)
     return ConfinementReport(status=ConfinementStatus.NOT_CONFINED,
                              pole_orders=pole_orders, x_trace=x_trace)
 
@@ -138,31 +147,46 @@ def confine_dp2_case(params, singular_value: int, n: int, y0,
     return confine(DP2Map(params), lift, max_steps=max_steps)
 
 
-def verify_confinement_samples(map_family, lift: SingularLift,
-                               report: ConfinementReport) -> bool:
-    """Exact-rational agreement test for a CONFINED report.
+def sample_images(map_family, lift: SingularLift, m: int):
+    """Reductions of exact rational orbits, m steps from the lifts
+    e = c * p**k.
 
-    Substitutes e = c * p**k for (c, k) in {1,2,3} x {1,2,3}, iterates the
-    map over Q for m steps, and demands that every sample reduces to the
-    reported image.
+    Yields ((c, k), image) for k = 1, 2, 3 within c = 1, 2, 3, ... in turn,
+    so the first nine are the classic sample set.  The image is None where
+    the orbit over Q hits an exact singularity: it is undefined at that
+    lift.  The generator never ends; take what is needed.
     """
-    if report.status is not ConfinementStatus.CONFINED:
-        return False
     p = map_family.p
     runner = _window_runner(map_family, lift)
-    for c in (1, 2, 3):
+    for c in count(1):
         for k in (1, 2, 3):
             e = Fraction(c * p**k)
             x = lift.s + e
             y = lift.y0 + e if lift.perturb_y else lift.y0
             try:
-                for j in range(report.m):
+                for j in range(m):
                     x, y = runner.step(x, y, lift.n0 + j)
             except DivisionByZeroError:
-                return False
-            if (reduce_proj(x, p), reduce_proj(y, p)) != report.image:
-                return False
-    return True
+                yield (c, k), None
+                continue
+            yield (c, k), (reduce_proj(x, p), reduce_proj(y, p))
+
+
+def verify_confinement_samples(map_family, lift: SingularLift,
+                               report: ConfinementReport) -> bool:
+    """Exact-rational agreement test for a CONFINED report.
+
+    Takes the first nine lifts of ``sample_images`` at which the orbit is
+    defined and demands that every one reduces to the reported image.  A
+    lift that hits an exact singularity is replaced by the next one, not
+    counted as a disagreement; the orbit of a confined run is undefined at
+    only finitely many lifts, so the search ends.
+    """
+    if report.status is not ConfinementStatus.CONFINED:
+        return False
+    defined = (image for _, image in sample_images(map_family, lift, report.m)
+               if image is not None)
+    return all(image == report.image for image in islice(defined, 9))
 
 
 def fits_fractional_linear(samples, p: int) -> bool:
@@ -200,11 +224,14 @@ def fits_fractional_linear(samples, p: int) -> bool:
 
 @dataclass
 class ScanRecord:
+    """One confinement run of a scan; ``lift`` is the lift it ran from."""
+
     point: str
     y_residue: int
     n: int
     report: ConfinementReport
     sampling_ok: bool | None = None
+    lift: SingularLift | None = None
 
 
 @dataclass
@@ -233,8 +260,10 @@ def agr_scan(map_family, max_steps: int = 30, verify_samples: bool = True) -> Sc
     One record per (singular point, companion residue, time step).  The
     scan then checks, for each (point, n, m) group, that the confined
     images depend on the companion residue through a single fractional
-    linear formula, and (optionally) that every CONFINED report passes the
-    nine-sample exact-rational agreement test.
+    linear formula.  A CONFINED record is lift-independent
+    (``sampling_ok`` True) when ``confine`` certified it; otherwise, unless
+    ``verify_samples`` is off, it runs the nine-sample exact-rational
+    agreement test, and a disagreement makes the scan ambiguous.
     """
     p = map_family.p
     if p > MAX_SCAN_PRIME:
@@ -252,10 +281,13 @@ def agr_scan(map_family, max_steps: int = 30, verify_samples: bool = True) -> Sc
             lift = SingularLift(s=s, y0=y0, n0=n, perturb_y=True)
             report = confine(map_family, lift, max_steps=max_steps)
         sampling_ok = None
-        if verify_samples and report.status is ConfinementStatus.CONFINED:
+        if report.certified:
+            sampling_ok = True
+        elif verify_samples and report.status is ConfinementStatus.CONFINED:
             sampling_ok = verify_confinement_samples(map_family, lift, report)
         records.append(ScanRecord(point=label, y_residue=y_res, n=n,
-                                  report=report, sampling_ok=sampling_ok))
+                                  report=report, sampling_ok=sampling_ok,
+                                  lift=lift))
 
     all_confined = all(r.report.status is ConfinementStatus.CONFINED
                        for r in records)

@@ -280,6 +280,15 @@ def poly_gcd(a: tuple, b: tuple) -> tuple:
     return (0,) * min(i, j) + g
 
 
+def _int_vp(c: int, p: int) -> int:
+    """p-adic valuation of a nonzero int."""
+    v = 0
+    while not c % p:
+        c //= p
+        v += 1
+    return v
+
+
 def _check_degree(degree: int) -> None:
     bound = _degree_bound.get()
     if bound is not None and degree > bound:
@@ -475,6 +484,22 @@ class EpsRational:
         if o:
             return Fraction(0)      # a zero at e = 0, or the zero function
         return Fraction(self._num[_ord(self._num)], self._den[_ord(self._den)])
+
+    def reduces_uniformly(self, p: int) -> bool:
+        """Certificate that the value at every e in pZ_p where it is
+        defined reduces mod p to one point, [N_0 p**-v : D_0 p**-v].
+
+        Here num = sum N_i e**i, den = sum D_i e**i and
+        v = min(vp(N_0), vp(D_0)), finite since e divides at most one of
+        them.  The certificate holds when vp(N_i) + i > v and
+        vp(D_i) + i > v for every i >= 1.  Then N(e) = N_0 and D(e) = D_0
+        mod p**(v + 1), and one of N_0, D_0 has valuation exactly v.
+        """
+        num, den = self._num, self._den
+        v = min(_int_vp(c, p) for c in (num[0] if num else 0, den[0]) if c)
+        return all(_int_vp(c, p) + i > v
+                   for poly in (num, den)
+                   for i, c in enumerate(poly) if i and c)
 
     def __str__(self):
         if len(self._den) == 1:

@@ -5,15 +5,18 @@ them live).  Everything is exact: no tolerances anywhere.  Randomized
 suites use the fixed seed recorded below.
 """
 
+import itertools
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from dp2fp import (
     ConfinementStatus,
+    CustomMap,
     DP2Map,
     FpProj,
     FpState,
@@ -22,6 +25,7 @@ from dp2fp import (
     TauParams,
     agr_scan,
     build_dp2_params,
+    degree_limit,
     dp2_fp_pattern,
     dp2_scalar_residual,
     dp2_step,
@@ -29,6 +33,7 @@ from dp2fp import (
     rational_u,
     reduce_mod,
     reduce_proj,
+    sample_images,
     tau_det,
 )
 from dp2fp.cli import main
@@ -404,30 +409,78 @@ def test_criterion_6_property_suites(capsys):
     assert ok
 
 
+# dP-II scans that criterion 7 adds to the sweeps: p = 11 and 13 with a
+# generic a, a = -delta and a = delta, and sets outside the covered case
+# table, where p divides a + delta or a - delta (the next four) or a (the
+# last two).  dP-II typed as a custom map and the Hietarinta-Viallet map,
+# which confines only without a degree bound, are added at p = 5 and 7.
+ORACLE_DP2_SETS = [(11, 5, 3, 2), (13, 5, 3, 2), (13, -3, 3, 2),
+                   (13, 3, 3, 2), (3, -8, 2, 2), (5, 2, 3, 1), (7, 8, 1, 2),
+                   (7, 3, 4, 2), (3, 6, 4, -5), (5, 5, 3, 2)]
+ORACLE_CUSTOM_MAPS = [("((2*n+3)*x+1)/(1-x^2)-y", "x"), ("x + 1/x^2 - y", "x")]
+
+
 def test_criterion_7_sampling_consistency(qrt_sweep, dp2_sweep, capsys):
+    """Every confined record of the sweeps is lift-independent, and the
+    nine-sample substitution over Q, run on every confined record, agrees
+    with the certificate: a certified record has every defined sample
+    reduce to its image, and a record the certificate refuses has two
+    samples that reduce differently."""
     qrt_results, _ = qrt_sweep
     dp2_results, _ = dp2_sweep
     t0 = time.time()
-    disagreements = []
-    confined = 0
-    for key, res in qrt_results.items():
+    lift_dependent = []
+    scans = []
+    for (p, a, gamma), res in qrt_results.items():
+        if gamma <= 2:
+            scans.append((("qrt", p, a, gamma),
+                          QRTMap(QRTParams(p=p, gamma=gamma, a=a)), res))
+    for (p, triple), (params, res) in dp2_results.items():
+        scans.append((("dp2", p, *triple), DP2Map(params), res))
+    for key, _, res in scans:
+        lift_dependent += [(key, rec.point, rec.y_residue, rec.n)
+                           for rec in res.records
+                           if rec.report.status is ConfinementStatus.CONFINED
+                           and rec.sampling_ok is not True]
+    for p, *triple in ORACLE_DP2_SETS:
+        fam = DP2Map(build_dp2_params(p, *triple))
+        scans.append((("dp2", p, *triple), fam, agr_scan(fam)))
+    with degree_limit(None):
+        for exprs, p in itertools.product(ORACLE_CUSTOM_MAPS, (5, 7)):
+            fam = CustomMap(*exprs, p)
+            scans.append((("custom", *exprs, p), fam, agr_scan(fam)))
+
+    counts = Counter()
+    failures = []
+    for key, fam, res in scans:
         for rec in res.records:
-            if rec.report.status is ConfinementStatus.CONFINED:
-                confined += 1
-                if rec.sampling_ok is not True:
-                    disagreements.append(("qrt", key, rec.y_residue))
-    for key, (_, res) in dp2_results.items():
-        for rec in res.records:
-            if rec.report.status is ConfinementStatus.CONFINED:
-                confined += 1
-                if rec.sampling_ok is not True:
-                    disagreements.append(("dp2", key, rec.point,
-                                          rec.y_residue, rec.n))
+            rep = rec.report
+            if rep.status is not ConfinementStatus.CONFINED:
+                continue
+            samples = sample_images(fam, rec.lift, rep.m)
+            images = [image for _, image in itertools.islice(samples, 9)]
+            defined = [image for image in images if image is not None]
+            counts["undefined samples"] += len(images) - len(defined)
+            if rep.certified:
+                counts["certified"] += 1
+                ok = all(image == rep.image for image in defined)
+            else:
+                counts["refused"] += 1
+                ok = len(set(defined)) >= 2
+            if not ok:
+                failures.append((key, rec.point, rec.y_residue, rec.n))
+    if not counts["refused"]:
+        failures.append("no record the certificate refuses")
     elapsed = time.time() - t0
     with capsys.disabled():
-        ok = report(7, not disagreements,
-                    f"all {confined} confined reports pass the nine-point "
-                    f"exact-rational substitution test ({elapsed:.1f}s)"
-                    + (f"; disagreements: {disagreements[:4]}"
-                       if disagreements else ""))
+        ok = report(7, not lift_dependent and not failures,
+                    "every confined report of the sweeps is lift-independent,"
+                    f" and over {len(scans)} scans the nine-sample "
+                    "substitution agrees with the certificate on "
+                    f"{counts['certified']} certified and {counts['refused']}"
+                    f" refused reports ({counts['undefined samples']} "
+                    f"undefined samples; {elapsed:.1f}s)"
+                    + (f"; lift-dependent: {lift_dependent[:4]}"
+                       if lift_dependent else "")
+                    + (f"; failures: {failures[:4]}" if failures else ""))
     assert ok

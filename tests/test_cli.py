@@ -130,6 +130,31 @@ def test_agr_scan_pinned_outputs(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# dP-II scans with p | a that read ambiguous only because one sample lift
+# hit an exact singularity.  The certificate decides them, and their
+# records are unchanged: the SHA-256 of json.dumps of the `reports` list
+# was taken before the certificate existed.
+@pytest.mark.parametrize("p,a,delta,z0,digest", [
+    (3, 3, 1, -4,
+     "865d6a1fe54558315040f100811d1d6a76128bd1dfbcbbeb720313172820797a"),
+    (3, 6, 4, -5,
+     "828c23edbf4c37e2fe2034006d77e6642980ecd4a92be60b59915fcde162ad56"),
+    (5, 5, 3, 2,
+     "dddd116f9a370ee8112b3607780a20401de712f614e022adca2ceec7d3afbd77"),
+    (7, 7, 5, 4,
+     "a8890b8a9f28b8538fd09ce06097ffd523e34419d48464dd2a2570f1c9e9e7a7"),
+])
+def test_p_divides_a_scans_have_agr(capsys, p, a, delta, z0, digest):
+    code, payload = run_json(capsys, "agr-scan", "--map", "dp2", "--p", str(p),
+                             f"--a={a}", f"--delta={delta}", f"--z0={z0}")
+    assert code == 0
+    result = payload["result"]
+    assert result["ambiguous"] is False
+    assert result["has_agr"] is True
+    reports = json.dumps(result["reports"]).encode()
+    assert hashlib.sha256(reports).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv", [
     ("evolve", "--p", "11", "--a=-8", "--delta", "2", "--z0", "2",
      "--u0", "1", "--u1", "6", "--steps", "30"),

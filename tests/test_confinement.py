@@ -21,6 +21,7 @@ from dp2fp import (
     confine_dp2_case,
     degree_limit,
     reduce_proj,
+    sample_images,
     verify_confinement_samples,
 )
 from dp2fp.confinement import fits_fractional_linear
@@ -79,6 +80,13 @@ class TestQRTFamily:
         lift = SingularLift(s=Fraction(0), y0=Fraction(3))
         rep = confine(fam, lift)
         assert verify_confinement_samples(fam, lift, rep)
+
+    def test_sample_lifts_come_in_order(self):
+        fam = QRTMap(QRTParams(p=5, gamma=2, a=2))
+        lift = SingularLift(s=Fraction(0), y0=Fraction(3))
+        samples = itertools.islice(sample_images(fam, lift, 3), 12)
+        keys = [ck for ck, _ in samples]
+        assert keys == [(c, k) for c in (1, 2, 3, 4) for k in (1, 2, 3)]
 
 
 class TestDP2Cases:
@@ -189,28 +197,46 @@ class TestPathologicalRegime:
         res = agr_scan(DP2Map(build_dp2_params(3, -8, 2, 2)))
         assert res.ambiguous
         assert not res.has_agr
+        flagged = [r for r in res.records if r.sampling_ok is False]
+        assert flagged
+        assert not any(r.report.certified for r in flagged)
 
-    def test_p_divides_a_flags_ambiguity(self):
+    def test_p_divides_a_is_certified(self):
         # a = 0 mod p puts both exact zeros at one index, so no exact
         # coefficient lift can honor both (their sum must equal a != 0).
-        # Residue-level engines still agree, but deeper lifts reduce
-        # differently: flagged, not guessed.
+        # The image is lift-independent all the same: the certificate
+        # proves it, and the one sample lift whose orbit over Q hits a
+        # singularity exactly is undefined there, not a disagreement.
         params = build_dp2_params(3, 6, 4, -5)
         i_alpha = next(i for i in range(3) if params.alpha(i) == 0)
         i_beta = next(i for i in range(3) if params.beta(i) == 0)
         assert i_alpha == i_beta
-        res = agr_scan(DP2Map(params))
-        assert res.ambiguous
-        flagged = [r for r in res.records if r.sampling_ok is False]
-        assert flagged
+        fam = DP2Map(params)
+        res = agr_scan(fam)
+        assert not res.ambiguous
+        assert res.has_agr
+        rec = next(r for r in res.records
+                   if (r.point, r.y_residue, r.n) == ("-1", 1, 0))
+        assert rec.report.m == 5
+        assert rec.report.image == (proj(3, 2), proj(3, 2))
+        assert rec.report.certified and rec.sampling_ok
+
+        samples = dict(itertools.islice(sample_images(fam, rec.lift, 5), 9))
+        assert samples.pop((2, 1)) is None
+        assert list(samples.values()) == [rec.report.image] * 8
+        runner = fam.window_map(rec.lift)
+        x, y = rec.lift.s + 2 * 3, rec.lift.y0
+        with pytest.raises(DivisionByZeroError):
+            for n in range(5):
+                x, y = runner.step(x, y, n)
+        # the witness path replaces the singular lift instead of failing
+        assert verify_confinement_samples(fam, rec.lift, rec.report)
+
         # the perturbation engine and the seven-case pattern still agree
-        # on the flagged record's emitted values
+        # on the record's emitted values
         from dp2fp import FpState, dp2_fp_pattern
-        rec = flagged[0]
-        u = 1 if rec.point == "+1" else params.p - 1
         out = dp2_fp_pattern(
-            FpState(FpProj(params.p, rec.y_residue), FpProj(params.p, u),
-                    rec.n), params)
+            FpState(FpProj(3, rec.y_residue), FpProj(3, 2), rec.n), params)
         assert list(out.emitted) == rec.report.x_trace
 
 

@@ -13,7 +13,7 @@ from dp2fp.epsfield import (GCD_CHECK_PRIME, ONE, ZERO, _certified_coprime,
                             _exact_div, poly_gcd)
 from dp2fp.errors import (DegreeOverflowError, DivisionByZeroError, Dp2Error,
                           PoleAtZeroError)
-from dp2fp.padic import PLUS_INFINITY
+from dp2fp.padic import PLUS_INFINITY, FpProj, reduce_proj, vp
 
 E = EpsRational.eps()
 
@@ -425,3 +425,86 @@ def test_exact_div_raises_on_a_remainder():
         _exact_div((1, 1), (1, 2))      # exact over Q, not in Z[e]
     with pytest.raises(Dp2Error):
         _exact_div((1,), (1, 1))
+
+
+# -- the certificate that a value reduces the same at every lift --------------
+
+def _at(coeffs, e):
+    return sum(c * e**i for i, c in enumerate(coeffs))
+
+
+def _reduction_at(f, e, p):
+    return reduce_proj(Fraction(_at(f._num, e), _at(f._den, e)), p)
+
+
+def _certified_point(f, p):
+    """[N_0 p**-v : D_0 p**-v] in P^1(F_p), with v = min(vp(N_0), vp(D_0))."""
+    n0, d0 = f._num[0] if f._num else 0, f._den[0]
+    v = min(vp(c, p) for c in (n0, d0) if c)
+    n0, d0 = n0 // p**v, d0 // p**v
+    if d0 % p == 0:
+        return FpProj.infinity(p)
+    return reduce_proj(Fraction(n0, d0), p)
+
+
+@st.composite
+def p_adic_values(draw):
+    """A prime p and a canonical value whose coefficients are small ints
+    times powers of p, so that the certificate's test is often close."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    coeff = st.builds(lambda u, j: u * p**j, st.integers(-4, 4),
+                      st.integers(0, 3))
+    num = draw(st.lists(coeff, max_size=4))
+    den = draw(st.lists(coeff, min_size=1, max_size=4).filter(any))
+    return p, EpsRational(EpsPoly(num), EpsPoly(den))
+
+
+@settings(max_examples=500, deadline=None)
+@given(pv=p_adic_values(), c=st.integers(-60, 60), k=st.integers(1, 4))
+def test_certificate_gives_the_reduction_at_every_lift(pv, c, k):
+    p, f = pv
+    e = c * p**k
+    if f.reduces_uniformly(p) and _at(f._den, e):
+        assert _reduction_at(f, e, p) == _certified_point(f, p)
+
+
+# Values f(e) of Q(e) given as (num, den) coefficient lists in p, which
+# reduce differently at the lifts e = p and e = 2p.
+LIFT_DEPENDENT = [
+    lambda p: ((p, 1), (p,)),              # 1 + e/p
+    lambda p: ((0, 1), (p,)),              # e/p
+    lambda p: ((p * p, p, 1), (p * p,)),   # 1 + e/p + e^2/p^2
+    lambda p: ((p, 1), (0, 1)),            # 1 + p/e
+    lambda p: ((p,), (p, 1)),              # p/(p + e)
+]
+# Values that reduce to [N_0 p**-v : D_0 p**-v] at every lift.
+LIFT_INDEPENDENT = [
+    lambda p: ((p, p, 1), (p,)),           # 1 + e + e^2/p
+    lambda p: ((p * p, p, 1), (p,)),       # p + e + e^2/p
+    lambda p: ((1, 1), (0, 1)),            # 1 + 1/e
+    lambda p: ((1,), (p, 1)),              # 1/(p + e)
+    lambda p: ((2, 5, 7), (3, 1)),         # v = 0: every lift
+]
+
+
+def _value(case, p):
+    num, den = case(p)
+    return EpsRational(EpsPoly(num), EpsPoly(den))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("case", LIFT_DEPENDENT)
+def test_certificate_refuses_a_lift_dependent_value(case, p):
+    f = _value(case, p)
+    assert _reduction_at(f, p, p) != _reduction_at(f, 2 * p, p)
+    assert not f.reduces_uniformly(p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("case", LIFT_INDEPENDENT)
+def test_certificate_accepts_a_lift_independent_value(case, p):
+    f = _value(case, p)
+    assert f.reduces_uniformly(p)
+    for e in (p, 2 * p, p * p, -p**3):
+        if _at(f._den, e):
+            assert _reduction_at(f, e, p) == _certified_point(f, p)
