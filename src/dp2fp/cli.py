@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -124,6 +125,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="sequence u_{n0}, u_{n0+1}, ...")
     add_output_flags(sp)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built on the first call, then shared by
+    every later call in the process.  Parsing leaves it unchanged."""
+    return build_parser()
 
 
 def _residue_text(value) -> str:
@@ -297,7 +305,7 @@ def _emit(args, payload: dict, command: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     command = args.command
     payload = {"command": command, "params": _public_params(args),

@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import count, islice
 
-from .epsfield import EpsPoly, EpsRational
+from .epsfield import EpsRational
 from .errors import DegreeOverflowError, DivisionByZeroError
 from .padic import PLUS_INFINITY, FpProj, reduce_proj, vp
 
@@ -80,6 +80,9 @@ def _proj_of(value: EpsRational, p: int) -> FpProj:
     return reduce_proj(value.eval0(), p)
 
 
+_EPS = EpsRational.eps()
+
+
 def _window_runner(map_family, lift: SingularLift):
     """The exact model iterated for one run: families may refine their
     coefficient lifts per window (dP-II does), others run as given."""
@@ -102,9 +105,8 @@ def confine(map_family, lift: SingularLift, max_steps: int = 30) -> ConfinementR
         raise ValueError("max_steps must be >= 1")
     p = map_family.p
     runner = _window_runner(map_family, lift)
-    x = EpsRational(EpsPoly((lift.s, 1)))
-    y_coeffs = (lift.y0, 1) if lift.perturb_y else (lift.y0,)
-    y = EpsRational(EpsPoly(y_coeffs))
+    x = _EPS + lift.s
+    y = _EPS + lift.y0 if lift.perturb_y else EpsRational.from_const(lift.y0)
 
     pole_orders: list = []
     x_trace: list[FpProj] = []

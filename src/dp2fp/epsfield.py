@@ -19,6 +19,10 @@ degree is how a non-confining orbit announces itself, and it must stay
 distinguishable from an ordinary pole at e = 0.
 
 Arithmetic runs on ints only, and every gcd goes through ``poly_gcd``.
+An int or Fraction operand u/w stays a scalar: N/D + u/w is
+(N*w + u*D)/(D*w), (N/D) * (u/w) is (N*u)/(D*w), and so on, with no
+polynomial gcd, since a constant brings no common factor of positive
+degree; the pair then takes the same canonical-form step as any other.
 """
 
 from __future__ import annotations
@@ -315,6 +319,47 @@ def _canonical(num: tuple, den: tuple) -> "EpsRational":
     return out
 
 
+def _scale(a: tuple, k: int) -> tuple:
+    """k * a for a nonzero int k."""
+    return a if k == 1 else tuple([k * c for c in a])
+
+
+def _shift(num: tuple, den: tuple, u: int, w: int) -> "EpsRational":
+    """num/den + u/w, for a canonical num/den and w > 0."""
+    if w != 1:
+        num = _scale(num, w)
+    if u:
+        num = _add(num, _scale(den, u))
+    return _canonical(num, _scale(den, w))
+
+
+def _sum(a: tuple, b: tuple, c: tuple, d: tuple) -> "EpsRational":
+    """a/b + c/d for canonical a/b and c/d."""
+    t = poly_gcd(b, d)
+    if len(t) == 1:
+        return _canonical(_add(_mul(a, d), _mul(c, b)), _mul(b, d))
+    b1, d1 = _exact_div(b, t), _exact_div(d, t)
+    r = _add(_mul(a, d1), _mul(c, b1))
+    g2 = poly_gcd(r, t)
+    if len(g2) > 1:
+        r = _exact_div(r, g2)
+        t = _exact_div(t, g2)
+    return _canonical(r, _mul(_mul(b1, d1), t))
+
+
+def _product(a: tuple, b: tuple, c: tuple, d: tuple) -> "EpsRational":
+    """(a/b) * (c/d) for canonical a/b and c/d."""
+    if not a or not c:
+        return _canonical((), _ONE)
+    g1 = poly_gcd(a, d)
+    g2 = poly_gcd(c, b)
+    if len(g1) > 1:
+        a, d = _exact_div(a, g1), _exact_div(d, g1)
+    if len(g2) > 1:
+        c, b = _exact_div(c, g2), _exact_div(b, g2)
+    return _canonical(_mul(a, c), _mul(b, d))
+
+
 def _cleared(num: EpsPoly, den: EpsPoly) -> tuple[tuple, tuple]:
     """Fraction coefficient pair scaled to one integer pair."""
     scale = lcm(*(c.denominator for c in num.coeffs + den.coeffs))
@@ -394,65 +439,71 @@ class EpsRational:
         return _canonical(tuple([-c for c in self._num]), self._den)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b, c, d = self._num, self._den, o._num, o._den
-        t = poly_gcd(b, d)
-        if len(t) == 1:
-            return _canonical(_add(_mul(a, d), _mul(c, b)), _mul(b, d))
-        b1, d1 = _exact_div(b, t), _exact_div(d, t)
-        r = _add(_mul(a, d1), _mul(c, b1))
-        g2 = poly_gcd(r, t)
-        if len(g2) > 1:
-            r = _exact_div(r, g2)
-            t = _exact_div(t, g2)
-        return _canonical(r, _mul(_mul(b1, d1), t))
+        if isinstance(other, EpsRational):
+            return _sum(self._num, self._den, other._num, other._den)
+        if isinstance(other, (int, Fraction)):
+            return _shift(self._num, self._den,
+                          other.numerator, other.denominator)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        if isinstance(other, EpsRational):
+            return _sum(self._num, self._den,
+                        tuple([-c for c in other._num]), other._den)
+        if isinstance(other, (int, Fraction)):
+            return _shift(self._num, self._den,
+                          -other.numerator, other.denominator)
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        if isinstance(other, (int, Fraction)):
+            return _shift(tuple([-c for c in self._num]), self._den,
+                          other.numerator, other.denominator)
+        return NotImplemented
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b, c, d = self._num, self._den, o._num, o._den
-        if not a or not c:
-            return _canonical((), _ONE)
-        g1 = poly_gcd(a, d)
-        g2 = poly_gcd(c, b)
-        if len(g1) > 1:
-            a, d = _exact_div(a, g1), _exact_div(d, g1)
-        if len(g2) > 1:
-            c, b = _exact_div(c, g2), _exact_div(b, g2)
-        return _canonical(_mul(a, c), _mul(b, d))
+        if isinstance(other, EpsRational):
+            return _product(self._num, self._den, other._num, other._den)
+        if isinstance(other, (int, Fraction)):
+            u = other.numerator
+            if not u:
+                return _canonical((), _ONE)
+            return _canonical(_scale(self._num, u),
+                              _scale(self._den, other.denominator))
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero:
-            raise DivisionByZeroError("division by the zero perturbation function")
-        return self * _canonical(o._den, o._num)
+        if isinstance(other, EpsRational):
+            if not other._num:
+                raise DivisionByZeroError(
+                    "division by the zero perturbation function")
+            inv = _canonical(other._den, other._num)
+            return _product(self._num, self._den, inv._num, inv._den)
+        if isinstance(other, (int, Fraction)):
+            u, w = other.numerator, other.denominator
+            if not u:
+                raise DivisionByZeroError(
+                    "division by the zero perturbation function")
+            return _canonical(_scale(self._num, w), _scale(self._den, u))
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return o / self
+        num, den = self._num, self._den
+        if not num:
+            raise DivisionByZeroError(
+                "division by the zero perturbation function")
+        u, w = other.numerator, other.denominator
+        if not u:
+            # 0 / f is 0, but f is still held to the bound, as 1/f is.
+            _check_degree(max(len(num), len(den)) - 1)
+            return _canonical((), _ONE)
+        return _canonical(_scale(den, u), _scale(num, w))
 
     def __pow__(self, k: int):
         """num**k / den**k with no gcd: a power of a pair coprime in Z[e]

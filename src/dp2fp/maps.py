@@ -4,8 +4,10 @@ period-p dP-II coefficients with exact zero placement.
 The step functions are generic over the arithmetic carrier: the same
 formula runs on exact rationals (orbits over Q), on ``FpElem`` (the reduced
 map), and on ``EpsRational`` (perturbed orbits for confinement).  Carrier
-dispatch happens through operator coercion, so a coefficient that is a
-Fraction simply lands in whatever field the state lives in.
+dispatch happens through the operators.  Coefficients and constants stay
+int or Fraction scalars: over Q they are ordinary operands, ``FpElem``
+reduces them mod p, and ``EpsRational`` combines them with its integer
+pair directly, without making a field element of them.
 """
 
 from __future__ import annotations
@@ -198,12 +200,22 @@ class AnchoredDP2Map:
         self.n0 = n0
         self.alpha0 = alpha0
         self.beta0 = beta0
+        self._alphas: dict[int, Fraction] = {}
+        self._betas: dict[int, Fraction] = {}
 
     def alpha(self, n: int) -> Fraction:
-        return self.alpha0 + (n - self.n0) * self.params.delta / 2
+        alpha = self._alphas.get(n)
+        if alpha is None:
+            alpha = self._alphas[n] = (self.alpha0
+                                       + (n - self.n0) * self.params.delta / 2)
+        return alpha
 
     def beta(self, n: int) -> Fraction:
-        return self.beta0 - (n - self.n0) * self.params.delta / 2
+        beta = self._betas.get(n)
+        if beta is None:
+            beta = self._betas[n] = (self.beta0
+                                     - (n - self.n0) * self.params.delta / 2)
+        return beta
 
     def step(self, x, y, n: int):
         return dp2_step(x, y, n, self)
@@ -244,13 +256,18 @@ def dp2_window_map(params: DP2Params, singular_value: int, n0: int) -> AnchoredD
 
 
 class DP2Map:
-    """Map-family wrapper handing dP-II to the confinement engine."""
+    """Map-family wrapper handing dP-II to the confinement engine.
+
+    Each anchored window map is built once per (singular value, n0) and
+    shared by every run from that window, over all companion residues.
+    """
 
     kind = "dp2"
 
     def __init__(self, params: DP2Params):
         self.params = params
         self.p = params.p
+        self._windows: dict[tuple[int, int], AnchoredDP2Map] = {}
 
     def step(self, x, y, n: int):
         return dp2_step(x, y, n, self.params)
@@ -258,9 +275,13 @@ class DP2Map:
     def window_map(self, lift):
         """The anchored affine model for one confinement run."""
         s = lift.s
-        if s == 1 or s == -1:
-            return dp2_window_map(self.params, int(s), lift.n0)
-        return self
+        if s != 1 and s != -1:
+            return self
+        key = (int(s), lift.n0)
+        window = self._windows.get(key)
+        if window is None:
+            window = self._windows[key] = dp2_window_map(self.params, *key)
+        return window
 
     def scan_points(self):
         """Singular residues x = 1 and x = p-1, every companion residue,

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import dp2fp
+from dp2fp import cli
 from dp2fp.cli import main
 
 SRC = str(Path(dp2fp.__file__).resolve().parents[1])
@@ -108,7 +109,8 @@ def test_evolve_pinned_outputs(capsys, argv, params, result):
 # SHA-256 of the JSON output of agr-scans whose perturbation arithmetic
 # covers the gcd paths and the degree bound: dP-II at p = 7 with generic a,
 # a = -delta and a = delta; QRT gamma = 2 and gamma = 3 (every record a
-# degree overflow) at p = 5; the Hietarinta-Viallet custom map at p = 5.
+# degree overflow) at p = 5; the Hietarinta-Viallet custom map at p = 5;
+# and the three dP-II scan kinds of the dp2-scan benchmark at p = 13.
 @pytest.mark.parametrize("argv,digest", [
     (("--map", "dp2", "--p", "7", "--a", "1", "--delta", "3", "--z0", "2"),
      "1104930beeb81c116dfe9eedc2e9ddf50ddeddae5a76e385f853bfcc0b0e1123"),
@@ -123,6 +125,12 @@ def test_evolve_pinned_outputs(capsys, argv, params, result):
     (("--map", "custom", "--p", "5", "--expr-x", "x + 1/x^2 - y",
       "--expr-y", "x"),
      "6385c998f10a23f7e255d406a83c4ff8728382a2b893f63eb56e4a9820a20ad7"),
+    (("--map", "dp2", "--p", "13", "--a=5", "--delta=3", "--z0=2"),
+     "1e81dbd8d2556cde2243c5e12fb1a90243cea8969d89df3d089dd42b1fa946c4"),
+    (("--map", "dp2", "--p", "13", "--a=-3", "--delta=3", "--z0=2"),
+     "ed7adde4fe63c99688fce286b7fb6779183cb26cb2a479f2556eec3f3d1caf21"),
+    (("--map", "dp2", "--p", "13", "--a=3", "--delta=3", "--z0=2"),
+     "2674bdfc46e3cb610d99937effe38351ad37e604385347accada3d0a1726fb80"),
 ])
 def test_agr_scan_pinned_outputs(capsys, argv, digest):
     code, out = run(capsys, "agr-scan", *argv)
@@ -268,6 +276,49 @@ def test_usage_errors_exit_two(capsys):
         main(evolve + ["--steps", "x"])
     assert exc.value.code == 2
     assert "invalid int value: 'x'" in capsys.readouterr().err
+
+
+# A usage error, then a scan and an orbit: the parser ``main`` keeps for
+# the process must answer each as a parser built for that call alone.
+PARSER_SEQUENCE = [
+    ("agr-scan", "--map", "dp2", "--p", "7", "--a", "1"),
+    ("agr-scan", "--map", "dp2", "--p", "7", "--a", "1", "--delta", "3",
+     "--z0", "2"),
+    ("evolve", "--p", "5", "--a", "4", "--delta", "2", "--z0", "2",
+     "--u0", "3", "--u1", "2", "--steps", "6"),
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    cli._parser.cache_clear()
+    shared = [_outcome(capsys, argv) for argv in PARSER_SEQUENCE]
+    assert cli._parser.cache_info().misses == 1
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli.build_parser)
+        fresh = [_outcome(capsys, argv) for argv in PARSER_SEQUENCE]
+    assert [code for code, _, _ in shared] == [2, 0, 0]
+    assert "--delta" in shared[0][2]
+    assert shared == fresh
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_parser_is_not_built_at_import():
+    paths = [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import dp2fp.cli as c; print(c._parser.cache_info().currsize)"],
+        env=env, capture_output=True, check=True, text=True, timeout=60)
+    assert out.stdout == "0\n"
 
 
 def test_invalid_prime_is_domain_error(capsys):

@@ -283,6 +283,65 @@ class TestScan:
             assert r.report.image == (proj(5, r.y_residue), proj(5, 0))
 
 
+class TestWindowReuse:
+    """A DP2Map builds each anchored window map once, for the first run
+    from its (singular value, n0), and every later run and sample orbit
+    from that window reuses it."""
+
+    def test_a_scan_builds_each_window_once(self, monkeypatch):
+        from dp2fp import maps
+        built = []
+        build = maps.dp2_window_map
+
+        def counted(params, singular_value, n0):
+            built.append((singular_value, n0))
+            return build(params, singular_value, n0)
+
+        monkeypatch.setattr(maps, "dp2_window_map", counted)
+        p = 13
+        fam = DP2Map(build_dp2_params(p, 5, 3, 2))
+        res = agr_scan(fam)
+        assert len(res.records) == 2 * p * p
+        assert sorted(built) == sorted(
+            {(s, n) for s in (1, -1) for n in range(p)})
+        for rec in res.records[:3]:
+            next(sample_images(fam, rec.lift, rec.report.m))
+            assert verify_confinement_samples(fam, rec.lift, rec.report)
+        assert len(built) == 2 * p
+
+    def test_maps_with_different_params_keep_their_own_windows(self):
+        fam = DP2Map(build_dp2_params(7, 1, 3, 2))
+        other = DP2Map(build_dp2_params(7, 2, 3, 2))
+        lift = SingularLift(s=Fraction(1), y0=Fraction(4), n0=3)
+        window = fam.window_map(lift)
+        assert fam.window_map(SingularLift(s=Fraction(1), y0=Fraction(0),
+                                           n0=3)) is window
+        assert other.window_map(lift) is not window
+        assert other.window_map(lift).params is other.params
+        assert window.params is fam.params
+        assert confine(other, lift).image == confine(
+            DP2Map(other.params), lift).image
+
+    @pytest.mark.parametrize("p,a,delta,z0,refused", [
+        (7, -3, 3, 2, False), (3, -8, 2, 2, True)])
+    def test_samples_through_shared_windows_match_the_certificate(
+            self, p, a, delta, z0, refused):
+        fam = DP2Map(build_dp2_params(p, a, delta, z0))
+        res = agr_scan(fam, verify_samples=False)
+        seen = 0
+        for rec in res.records:
+            rep = rec.report
+            assert rep.status is ConfinementStatus.CONFINED
+            images = [image for _, image in itertools.islice(
+                sample_images(fam, rec.lift, rep.m), 9) if image is not None]
+            if rep.certified:
+                assert set(images) == {rep.image}
+            else:
+                seen += 1
+                assert len(set(images)) >= 2
+        assert bool(seen) == refused
+
+
 class TestFractionalLinearFit:
     def test_affine_family(self):
         p = 7

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dp2fp import EpsPoly, EpsRational, degree_limit, eval0, ord0
@@ -239,11 +239,11 @@ def _ref_pow(f, k):
     return out
 
 
-# Each operation with the canonical values it forms: f - g forms -g and
-# f / g forms 1/g on the way, and a power forms only its result.
+# Each operation with the canonical values it forms: f / g forms 1/g on
+# the way, and a sum, difference, product or power forms only its result.
 OPERATIONS = {
     "+": (lambda f, g: f + g, lambda f, g: [f + g]),
-    "-": (lambda f, g: f - g, lambda f, g: [-g, f + -g]),
+    "-": (lambda f, g: f - g, lambda f, g: [f + -g]),
     "*": (lambda f, g: f * g, lambda f, g: [f * g]),
     "/": (lambda f, g: f / g, lambda f, g: [g.inverse(), f * g.inverse()]),
     "**0": (lambda f, g: f ** 0, lambda f, g: [_ref_pow(f, 0)]),
@@ -298,6 +298,71 @@ small_pairs = st.tuples(
        bound=st.one_of(st.none(), st.integers(0, 8)))
 def test_kernel_matches_the_euclid_reference(f, g, bound):
     check_against_reference(f, g, bound)
+
+
+# -- int and Fraction operands against the same constant made an EpsRational
+
+SCALAR_FORMS = {
+    "x + c": lambda x, c: x + c,
+    "c + x": lambda x, c: c + x,
+    "x - c": lambda x, c: x - c,
+    "c - x": lambda x, c: c - x,
+    "x * c": lambda x, c: x * c,
+    "c * x": lambda x, c: c * x,
+    "x / c": lambda x, c: x / c,
+    "c / x": lambda x, c: c / x,
+}
+
+scalars = st.one_of(st.integers(-12, 12),
+                    st.fractions(min_value=-12, max_value=12,
+                                 max_denominator=9))
+
+
+def _pair_or_overflow(op, x, c, bound):
+    with degree_limit(bound):
+        try:
+            value = op(x, c)
+        except DegreeOverflowError:
+            return None
+    return value._num, value._den
+
+
+def _gcd_and_coerce_fail(*args):
+    raise AssertionError("scalar operand took the EpsRational route")
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=eps_rationals(), c=scalars,
+       bound=st.one_of(st.none(), st.integers(0, 4)))
+@example(x=E * E, c=0, bound=1)
+@example(x=E, c=Fraction(-3, 4), bound=0)
+def test_scalar_operands_match_the_coerced_constant(x, c, bound):
+    """Each operator form with an int or Fraction operand gives the pair
+    that the same operation with the constant as an EpsRational gives,
+    and overflows the bound exactly when that does, without building an
+    EpsRational from the constant or running a gcd."""
+    coerced = EpsRational._coerce(c)
+    for name, op in SCALAR_FORMS.items():
+        if (name == "x / c" and not c) or (name == "c / x" and x.is_zero):
+            continue
+        expected = _pair_or_overflow(op, x, coerced, bound)
+        saved = epsfield.poly_gcd, EpsRational.__dict__["_coerce"]
+        epsfield.poly_gcd = _gcd_and_coerce_fail
+        EpsRational._coerce = staticmethod(_gcd_and_coerce_fail)
+        try:
+            got = _pair_or_overflow(op, x, c, bound)
+        finally:
+            epsfield.poly_gcd, EpsRational._coerce = saved
+        assert got == expected, name
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0)])
+def test_scalar_division_by_zero(zero):
+    with pytest.raises(DivisionByZeroError):
+        E / zero
+    for c in (zero, 3, Fraction(-2, 5)):
+        with pytest.raises(DivisionByZeroError):
+            c / const(0)
 
 
 def poly_lists(max_size=5):

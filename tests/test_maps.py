@@ -195,6 +195,21 @@ def test_window_anchor_must_reduce_to_the_tables():
         dp2_window_map(broken, 1, 0)
 
 
+def test_window_coefficients_are_the_affine_family():
+    # Each coefficient is computed once per n and then read back; repeated
+    # and out-of-order n must still give the affine family anchored at n0.
+    params = build_dp2_params(**TAU_PARAMS_5)
+    for s, n0 in ((1, 2), (-1, 4)):
+        window = dp2_window_map(params, s, n0)
+        for n in (n0, n0 + 3, n0 - 1, n0, n0 + 7, n0 + 3):
+            step = Fraction(n - n0) * params.delta / 2
+            assert window.alpha(n) == window.alpha0 + step
+            assert window.beta(n) == window.beta0 - step
+            assert window.alpha(n) + window.beta(n) == params.a
+            assert reduce_mod(window.alpha(n), 5) == reduce_mod(
+                params.alpha(n), 5)
+
+
 def test_dp2_step_perturbed_pole_order():
     params = build_dp2_params(**TAU_PARAMS_5)
     x = EpsRational(EpsPoly((1, 1)))
