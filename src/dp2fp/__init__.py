@@ -18,7 +18,7 @@ from .confinement import (
     sample_images,
     verify_confinement_samples,
 )
-from .epsfield import EpsPoly, EpsRational, degree_limit, eval0, ord0
+from .epsfield import EpsPoly, EpsRational, degree_limit
 from .errors import Dp2Error
 from .fpdynamics import (
     FpState,
@@ -59,7 +59,7 @@ __all__ = [
     "ConfinementReport", "ConfinementStatus", "ScanRecord", "ScanResult",
     "SingularLift", "agr_scan", "confine", "confine_dp2_case",
     "sample_images", "verify_confinement_samples",
-    "EpsPoly", "EpsRational", "degree_limit", "eval0", "ord0",
+    "EpsPoly", "EpsRational", "degree_limit",
     "Dp2Error",
     "FpState", "PatternOutput", "detect_period", "dp2_fp_orbit",
     "dp2_fp_pattern", "iterate_dp2_fp",

@@ -5,7 +5,10 @@ for a doubly singular point, sharing the one formal parameter), the map is
 iterated in exact ``EpsRational`` arithmetic, and the engine looks for the
 first iterate whose limit at e = 0 exists and is p-integral in both
 coordinates.  That iterate count is the confinement length m, and the
-projective reduction of the limit is the confined image.
+projective reduction of the limit is the confined image.  Each step reads
+the reductions off the integer pairs (``EpsRational.proj0``): a pole or a
+limit with negative valuation reduces to infinity, so a step confines
+exactly when both reductions are finite.
 
 The image is the same for every lift e in pZ_p when the confined pair of
 integer polynomials passes ``EpsRational.reduces_uniformly``: a proof for
@@ -25,7 +28,7 @@ from itertools import count, islice
 
 from .epsfield import EpsRational
 from .errors import DegreeOverflowError, DivisionByZeroError
-from .padic import PLUS_INFINITY, FpProj, reduce_proj, vp
+from .padic import FpProj, reduce_proj, vp
 
 
 class ConfinementStatus(Enum):
@@ -73,13 +76,6 @@ class ConfinementReport:
     certified: bool = False
 
 
-def _proj_of(value: EpsRational, p: int) -> FpProj:
-    o = value.ord0()
-    if o is not PLUS_INFINITY and o < 0:
-        return FpProj.infinity(p)
-    return reduce_proj(value.eval0(), p)
-
-
 _EPS = EpsRational.eps()
 
 
@@ -117,20 +113,16 @@ def confine(map_family, lift: SingularLift, max_steps: int = 30) -> ConfinementR
             return ConfinementReport(status=ConfinementStatus.DEGREE_OVERFLOW,
                                      pole_orders=pole_orders,
                                      x_trace=x_trace, truncated=True)
-        ox, oy = x.ord0(), y.ord0()
-        pole_orders.append(ox)
-        x_trace.append(_proj_of(x, p))
-        regular = all(o is PLUS_INFINITY or o >= 0 for o in (ox, oy))
-        if regular:
-            vx, vy = x.eval0(), y.eval0()
-            if vp(vx, p) >= 0 and vp(vy, p) >= 0:
-                image = (reduce_proj(vx, p), reduce_proj(vy, p))
-                certified = (x.reduces_uniformly(p)
-                             and y.reduces_uniformly(p))
-                return ConfinementReport(status=ConfinementStatus.CONFINED,
-                                         m=j, image=image,
-                                         pole_orders=pole_orders,
-                                         x_trace=x_trace, certified=certified)
+        pole_orders.append(x.ord0())
+        image = (x.proj0(p), y.proj0(p))
+        x_trace.append(image[0])
+        # A finite reduction is a regular limit with nonnegative valuation.
+        if not image[0].is_infinity and not image[1].is_infinity:
+            certified = x.reduces_uniformly(p) and y.reduces_uniformly(p)
+            return ConfinementReport(status=ConfinementStatus.CONFINED,
+                                     m=j, image=image,
+                                     pole_orders=pole_orders,
+                                     x_trace=x_trace, certified=certified)
     return ConfinementReport(status=ConfinementStatus.NOT_CONFINED,
                              pole_orders=pole_orders, x_trace=x_trace)
 

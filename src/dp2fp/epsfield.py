@@ -19,10 +19,18 @@ degree is how a non-confining orbit announces itself, and it must stay
 distinguishable from an ordinary pole at e = 0.
 
 Arithmetic runs on ints only, and every gcd goes through ``poly_gcd``.
+Its shortcuts, in order: a constant operand gives 1; the power of e comes
+from the orders; the primitive part of the shorter operand is the gcd when
+it divides the longer one exactly; a pair proved coprime mod 2**61 - 1
+gives 1.  Every other pair runs Collins' primitive PRS.
+
 An int or Fraction operand u/w stays a scalar: N/D + u/w is
 (N*w + u*D)/(D*w), (N/D) * (u/w) is (N*u)/(D*w), and so on, with no
 polynomial gcd, since a constant brings no common factor of positive
 degree; the pair then takes the same canonical-form step as any other.
+``dp2_coefficient_sum`` builds the dP-II sum alpha/(1 - x) + beta/(1 + x)
+from the int pair of x in the same way: its pair is coprime by
+construction.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from math import gcd, lcm
 
 from .errors import (DegreeOverflowError, DivisionByZeroError, Dp2Error,
                      PoleAtZeroError)
-from .padic import PLUS_INFINITY
+from .padic import PLUS_INFINITY, FpProj
 
 DEFAULT_DEGREE_BOUND = 64
 
@@ -176,8 +184,8 @@ def _pow(a: tuple, k: int) -> tuple:
     return result
 
 
-def _exact_div(a: tuple, b: tuple) -> tuple:
-    """a / b in Z[e]; Dp2Error unless b divides a there."""
+def _quotient(a: tuple, b: tuple) -> tuple | None:
+    """a / b in Z[e], or None when b does not divide a there."""
     db = len(b) - 1
     rem = list(a)
     quo = [0] * max(len(a) - db, 0)
@@ -185,14 +193,19 @@ def _exact_div(a: tuple, b: tuple) -> tuple:
     for i in range(len(quo) - 1, -1, -1):
         c, r = divmod(rem[i + db], lead)
         if r:
-            break
+            return None
         if c:
             quo[i] = c
             rem[i:i + db] = [x - c * y for x, y in zip(rem[i:i + db], low)]
-    else:
-        if not any(rem[:db]):
-            return tuple(quo)
-    raise Dp2Error("internal: polynomial division expected to be exact")
+    return None if any(rem[:db]) else tuple(quo)
+
+
+def _exact_div(a: tuple, b: tuple) -> tuple:
+    """a / b in Z[e]; Dp2Error unless b divides a there."""
+    quo = _quotient(a, b)
+    if quo is None:
+        raise Dp2Error("internal: polynomial division expected to be exact")
+    return quo
 
 
 def _primitive(a: tuple) -> tuple:
@@ -266,10 +279,13 @@ def poly_gcd(a: tuple, b: tuple) -> tuple:
     """Primitive gcd in Z[e] with a positive leading coefficient, which
     is the gcd over Q up to a scalar; gcd(a, 0) is a made primitive.
 
-    A nonzero constant operand gives 1 at once.  Otherwise the power of e
-    in the gcd is read off the operands' orders; what is left is 1 when it
-    has a constant operand or ``_certified_coprime`` proves it coprime, and
-    runs ``_prs_gcd`` in every other case.
+    The shortcuts, in order: a nonzero constant operand gives 1 at once;
+    the power of e in the gcd is read off the operands' orders; what is
+    left is 1 when it has a constant operand; it is the primitive part of
+    the shorter operand when that divides the longer one exactly in Z[e]
+    (by Gauss's lemma, a primitive divisor over Q divides in Z[e]); it is
+    1 when ``_certified_coprime`` proves it coprime.  Every other pair
+    runs ``_prs_gcd``.
     """
     if len(a) == 1 or len(b) == 1:
         return _ONE
@@ -277,10 +293,15 @@ def poly_gcd(a: tuple, b: tuple) -> tuple:
         return _primitive(a or b) if a or b else ()
     i, j = _ord(a), _ord(b)
     a, b = a[i:], b[j:]
-    if len(a) == 1 or len(b) == 1 or _certified_coprime(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
         g = _ONE
     else:
-        g = _prs_gcd(a, b)
+        g = _primitive(b)
+        # a[0] = q[0] * g[0] is the cheap necessary condition.
+        if a[0] % g[0] or _quotient(a, g) is None:
+            g = _ONE if _certified_coprime(a, b) else _prs_gcd(a, b)
     return (0,) * min(i, j) + g
 
 
@@ -358,6 +379,43 @@ def _product(a: tuple, b: tuple, c: tuple, d: tuple) -> "EpsRational":
     if len(g2) > 1:
         c, b = _exact_div(c, g2), _exact_div(b, g2)
     return _canonical(_mul(a, c), _mul(b, d))
+
+
+def dp2_coefficient_sum(x: "EpsRational", alpha, beta) -> "EpsRational":
+    """alpha/(1 - x) + beta/(1 + x), the coefficient part of one dP-II
+    step, for int or Fraction alpha and beta, with no polynomial gcd.
+
+    Write x = N/D in canonical form and alpha = A/w, beta = B/w.  The sum
+    is D*(A*(D + N) + B*(D - N)) / (w*(D - N)*(D + N)), and that pair is
+    already coprime over Q.  gcd(N, D) = 1 makes D, D - N and D + N
+    pairwise coprime, since a common factor of two of them divides N and
+    D.  The bracket is 2AN mod D - N and -2BN mod D + N, so when A and B
+    are nonzero it is coprime to both.  When one of them is zero, one
+    term is left, A*D/(w*(D - N)) or B*D/(w*(D + N)), which is coprime as
+    it stands.  So one ``_canonical`` gives the canonical
+    form, and the degree bound fires on the same pair as the operator
+    formula's sum, whose other intermediates 1 +- x and alpha/(1 -+ x)
+    have the degree of x.  x = +1 or -1 exactly raises
+    ``DivisionByZeroError`` whatever alpha and beta are.
+    """
+    num, den = x._num, x._den
+    minus = _add(den, tuple([-c for c in num]))      # D - N
+    plus = _add(den, num)                            # D + N
+    if not minus or not plus:
+        raise DivisionByZeroError("division by the zero perturbation function")
+    w = lcm(alpha.denominator, beta.denominator)
+    A = alpha.numerator * (w // alpha.denominator)
+    B = beta.numerator * (w // beta.denominator)
+    if not A and not B:
+        # 0 / (1 -+ x) is 0, but x is still held to the bound.
+        _check_degree(max(len(num), len(den)) - 1)
+        return _canonical((), _ONE)
+    if not B:
+        return _canonical(_scale(den, A), _scale(minus, w))
+    if not A:
+        return _canonical(_scale(den, B), _scale(plus, w))
+    bracket = _add(_scale(plus, A), _scale(minus, B))
+    return _canonical(_mul(den, bracket), _scale(_mul(minus, plus), w))
 
 
 def _cleared(num: EpsPoly, den: EpsPoly) -> tuple[tuple, tuple]:
@@ -536,6 +594,23 @@ class EpsRational:
             return Fraction(0)      # a zero at e = 0, or the zero function
         return Fraction(self._num[_ord(self._num)], self._den[_ord(self._den)])
 
+    def proj0(self, p: int) -> FpProj:
+        """Projective reduction mod p of the value at e = 0: infinity for
+        a pole, else the reduction of the limit, read off the lowest-order
+        coefficients of the int pair."""
+        num, den = self._num, self._den
+        if not num:
+            return FpProj(p, 0)
+        i, j = _ord(num), _ord(den)
+        if i != j:
+            return FpProj(p, 0) if i > j else FpProj.infinity(p)
+        n, d = num[i], den[j]
+        g = gcd(n, d)
+        n, d = n // g, d // g
+        if not d % p:
+            return FpProj.infinity(p)
+        return FpProj(p, n * pow(d, -1, p))
+
     def reduces_uniformly(self, p: int) -> bool:
         """Certificate that the value at every e in pZ_p where it is
         defined reduces mod p to one point, [N_0 p**-v : D_0 p**-v].
@@ -560,10 +635,3 @@ class EpsRational:
     def __repr__(self):
         return f"EpsRational({self.num!r}, {self.den!r})"
 
-
-def ord0(f: EpsRational):
-    return f.ord0()
-
-
-def eval0(f: EpsRational) -> Fraction:
-    return f.eval0()

@@ -7,7 +7,10 @@ map), and on ``EpsRational`` (perturbed orbits for confinement).  Carrier
 dispatch happens through the operators.  Coefficients and constants stay
 int or Fraction scalars: over Q they are ordinary operands, ``FpElem``
 reduces them mod p, and ``EpsRational`` combines them with its integer
-pair directly, without making a field element of them.
+pair directly, without making a field element of them.  On
+``EpsRational`` the dP-II coefficient sum alpha/(1 - x) + beta/(1 + x) is
+one kernel call, ``epsfield.dp2_coefficient_sum``, which needs no gcd; the
+other carriers run the formula through their operators.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .epsfield import EpsRational, dp2_coefficient_sum
 from .errors import (
     DivisionByZeroError,
     Dp2Error,
@@ -120,13 +124,18 @@ def dp2_step(x, y, n: int, params: DP2Params):
 
     with the coefficients params.alpha(n) and params.beta(n), from a
     ``DP2Params`` or an ``AnchoredDP2Map``.  The carrier of (x, y) decides
-    the arithmetic; x = +1 or -1 exactly in the carrier is a genuine
-    singularity and raises ``DivisionByZeroError``.
+    the arithmetic; on ``EpsRational`` the first two terms are
+    ``dp2_coefficient_sum``, which gives the same value as the operators.
+    x = +1 or -1 exactly in the carrier is a genuine singularity and
+    raises ``DivisionByZeroError``.
     """
     alpha = params.alpha(n)
     beta = params.beta(n)
     try:
-        x_next = alpha / (1 - x) + beta / (1 + x) - y
+        if isinstance(x, EpsRational):
+            x_next = dp2_coefficient_sum(x, alpha, beta) - y
+        else:
+            x_next = alpha / (1 - x) + beta / (1 + x) - y
     except ZeroDivisionError as exc:
         raise DivisionByZeroError(f"singular state x = {x}") from exc
     return x_next, x

@@ -110,7 +110,10 @@ def test_evolve_pinned_outputs(capsys, argv, params, result):
 # covers the gcd paths and the degree bound: dP-II at p = 7 with generic a,
 # a = -delta and a = delta; QRT gamma = 2 and gamma = 3 (every record a
 # degree overflow) at p = 5; the Hietarinta-Viallet custom map at p = 5;
-# and the three dP-II scan kinds of the dp2-scan benchmark at p = 13.
+# the three dP-II scan kinds of the dp2-scan benchmark at p = 13; dP-II
+# typed as a custom map at p = 5, an ambiguous scan whose records the
+# certificate refuses; dP-II at p = 5 with a + delta = 0 mod p but
+# a != -delta; and QRT gamma = 4 at p = 7.
 @pytest.mark.parametrize("argv,digest", [
     (("--map", "dp2", "--p", "7", "--a", "1", "--delta", "3", "--z0", "2"),
      "1104930beeb81c116dfe9eedc2e9ddf50ddeddae5a76e385f853bfcc0b0e1123"),
@@ -131,6 +134,13 @@ def test_evolve_pinned_outputs(capsys, argv, params, result):
      "ed7adde4fe63c99688fce286b7fb6779183cb26cb2a479f2556eec3f3d1caf21"),
     (("--map", "dp2", "--p", "13", "--a=3", "--delta=3", "--z0=2"),
      "2674bdfc46e3cb610d99937effe38351ad37e604385347accada3d0a1726fb80"),
+    (("--map", "custom", "--p", "5", "--expr-x", "((2*n+3)*x+1)/(1-x^2)-y",
+      "--expr-y", "x"),
+     "c6d2006d64c9a7d11fa271fa39e19872b743664841ecbba080cc204894faefc3"),
+    (("--map", "dp2", "--p", "5", "--a=2", "--delta=3", "--z0=1"),
+     "5cce3c0806cd22bf4b1a0531d1f270a2c740e7a50db89c5e176da4e2ee56a9a7"),
+    (("--map", "qrt", "--p", "7", "--gamma", "4", "--a", "1"),
+     "1f7bdef6d536f941f1694d13ea37f10c9d5be1e923a6902d80a1eeac04166c52"),
 ])
 def test_agr_scan_pinned_outputs(capsys, argv, digest):
     code, out = run(capsys, "agr-scan", *argv)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dp2fp import EpsPoly, EpsRational, degree_limit, eval0, ord0
+from dp2fp import EpsPoly, EpsRational, degree_limit
 from dp2fp import epsfield
 from dp2fp.epsfield import (GCD_CHECK_PRIME, ONE, ZERO, _certified_coprime,
                             _exact_div, poly_gcd)
@@ -29,16 +29,16 @@ def test_arith_examples():
 
 
 def test_ord0_examples():
-    assert ord0(E * E / (const(2) + E)) == 2
-    assert ord0((const(1) + E) / E) == -1
-    assert ord0(const(0)) == PLUS_INFINITY
+    assert (E * E / (const(2) + E)).ord0() == 2
+    assert ((const(1) + E) / E).ord0() == -1
+    assert const(0).ord0() == PLUS_INFINITY
 
 
 def test_eval0_examples():
-    assert eval0((2 * E + 3 * E * E) / E) == Fraction(2)
-    assert eval0((const(1) + E) / (const(1) - E)) == Fraction(1)
+    assert ((2 * E + 3 * E * E) / E).eval0() == Fraction(2)
+    assert ((const(1) + E) / (const(1) - E)).eval0() == Fraction(1)
     with pytest.raises(PoleAtZeroError):
-        eval0(const(1) / E)
+        (const(1) / E).eval0()
 
 
 def test_division_by_zero_function():
@@ -76,7 +76,7 @@ def test_degree_bound_raises():
     g = E
     for _ in range(30):
         g = g * E
-    assert ord0(g) == 31
+    assert g.ord0() == 31
 
 
 def test_pow():
@@ -99,7 +99,7 @@ def eps_rationals():
 def test_ord0_additive_on_products(f, g):
     if f.is_zero or g.is_zero:
         return
-    assert ord0(f * g) == ord0(f) + ord0(g)
+    assert (f * g).ord0() == f.ord0() + g.ord0()
 
 
 @settings(max_examples=250, deadline=None)
@@ -108,22 +108,22 @@ def test_ord0_superadditive_on_sums(f, g):
     s = f + g
     if f.is_zero or g.is_zero or s.is_zero:
         return
-    assert ord0(s) >= min(ord0(f), ord0(g))
+    assert s.ord0() >= min(f.ord0(), g.ord0())
 
 
 @settings(max_examples=250, deadline=None)
 @given(f=eps_rationals(), g=eps_rationals())
 def test_eval0_is_a_ring_homomorphism(f, g):
-    if ord0(f) < 0 or ord0(g) < 0:
+    if f.ord0() < 0 or g.ord0() < 0:
         return
-    assert eval0(f + g) == eval0(f) + eval0(g)
-    assert eval0(f * g) == eval0(f) * eval0(g)
+    assert (f + g).eval0() == f.eval0() + g.eval0()
+    assert (f * g).eval0() == f.eval0() * g.eval0()
 
 
 @settings(max_examples=150, deadline=None)
 @given(c=small_fracs)
 def test_constant_round_trip(c):
-    assert eval0(const(c)) == c
+    assert const(c).eval0() == c
 
 
 @settings(max_examples=250, deadline=None)
@@ -255,13 +255,13 @@ OPERATIONS = {
 def assert_agrees(value, ref):
     assert value.num.coeffs == ref.num
     assert value.den.coeffs == ref.den
-    o = ord0(value)
+    o = value.ord0()
     ref_o = PLUS_INFINITY if not ref.num else (
         next(i for i, c in enumerate(ref.num) if c)
         - next(i for i, c in enumerate(ref.den) if c))
     assert o == ref_o
     if o >= 0:
-        assert eval0(value) == (Fraction(0) if o else ref.num[o] / ref.den[o])
+        assert value.eval0() == (Fraction(0) if o else ref.num[o] / ref.den[o])
 
 
 def check_against_reference(f_pair, g_pair, bound):
@@ -374,8 +374,10 @@ SHARED_Q = (1, 1, Q)            # 1 + e + q e^2: its leading coefficient is 0 mo
 # Pairs (f, g) whose gcds the modular certificate refuses, so the kernel
 # runs the primitive PRS: shared factors with a leading coefficient
 # divisible by q, 1 + e against 1 - q + e (coprime, but equal mod q), and
-# shared factors of positive degree that are not powers of e.  e against
-# e - q is refused too, but its gcd is read off the orders of e.
+# shared factors of positive degree that are not powers of e, other than
+# the shorter operand itself.  e against e - q is refused too, but its gcd
+# is read off the orders of e; e(1 + e) against (1 - e)(1 + e) settles by
+# dividing by the shorter operand.
 PRS_CASES = [
     ((ref_mul(SHARED_Q, (2, 1)), ref_mul(SHARED_Q, (3, -1))),
      (SHARED_Q, (5, 1)), True),
@@ -383,7 +385,9 @@ PRS_CASES = [
     (((1,), (1, 1)), ((1,), (1 - Q, 1)), True),
     (((1, 1), (0, 1)), ((1,), (-Q, 1)), False),
     (((2, 3, 1), (0, 3, 4, 1)), ((1, 2, 1), (6, 5, 1)), True),
-    (((Fraction(1, 2), 0, 1), (0, 0, 1, 0, 1)), ((0, 1, 1), (1, 0, -1)), True),
+    (((Fraction(1, 2), 0, 1), (0, 0, 1, 0, 1)), ((0, 1, 1), (1, 0, -1)), False),
+    ((ref_mul((1, 0, 1), (2, 1)), ref_mul((1, 0, 1), (-1, 0, 3))),
+     ((1,), (1, 1)), True),
 ]
 
 
@@ -418,6 +422,28 @@ def test_poly_gcd_finds_a_shared_factor(f, g, h):
     assert monic(poly_gcd(ints(a), ints(b))) == expected
     if any(a) and any(b):
         assert len(expected) >= len(h)    # h divides the gcd
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=st.lists(small_fracs, min_size=2, max_size=4).filter(
+           lambda g: g[-1] != 0),
+       u=poly_lists(3), v=poly_lists(3), divisor=st.booleans())
+def test_poly_gcd_of_a_multiple(g, u, v, divisor):
+    """(g*u, g) and (g*u, g*v) against Euclid over Q.  When the shorter
+    operand divides the other, the gcd is settled by one exact division,
+    without the primitive PRS."""
+    a, b = ref_mul(g, u), (g if divisor else ref_mul(g, v))
+    expected = reference_gcd(a, b)
+    runs = []
+    prs = epsfield._prs_gcd
+    epsfield._prs_gcd = lambda x, y: runs.append((x, y)) or prs(x, y)
+    try:
+        assert monic(poly_gcd(ints(a), ints(b))) == expected
+        assert monic(poly_gcd(ints(b), ints(a))) == expected
+    finally:
+        epsfield._prs_gcd = prs
+    if divisor:
+        assert not runs
 
 
 def test_poly_gcd_falls_back_when_q_divides_a_denominator():
@@ -531,6 +557,16 @@ def test_certificate_gives_the_reduction_at_every_lift(pv, c, k):
     e = c * p**k
     if f.reduces_uniformly(p) and _at(f._den, e):
         assert _reduction_at(f, e, p) == _certified_point(f, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pv=p_adic_values())
+def test_proj0_is_the_reduction_of_the_limit(pv):
+    p, f = pv
+    o = f.ord0()
+    expected = (FpProj.infinity(p) if o < 0
+                else reduce_proj(f.eval0(), p))
+    assert f.proj0(p) == expected
 
 
 # Values f(e) of Q(e) given as (num, den) coefficient lists in p, which

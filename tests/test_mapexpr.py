@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from dp2fp import CustomMap, EpsRational, FpElem, parse_map_expr, print_map_expr
-from dp2fp.epsfield import ord0
 from dp2fp.errors import DivisionByZeroError, ParseError
 from dp2fp.mapexpr import (
     BinOp,
@@ -110,7 +109,7 @@ def test_eval_over_three_carriers():
     x = EpsRational.eps()
     v = eval_map_expr(ast, x, EpsRational.from_const(1), 0, bindings,
                       EpsRational.from_const)
-    assert ord0(v) == -2
+    assert v.ord0() == -2
 
 
 def test_eval_division_by_zero():

@@ -16,12 +16,14 @@ from dp2fp import (
     build_dp2_params,
     dp2_scalar_residual,
     dp2_step,
-    ord0,
     qrt_step,
     reduce_mod,
     vp,
 )
+from dp2fp import epsfield
+from dp2fp.epsfield import degree_limit, dp2_coefficient_sum
 from dp2fp.errors import (
+    DegreeOverflowError,
     DivisionByZeroError,
     Dp2Error,
     NoExactZeroError,
@@ -214,8 +216,80 @@ def test_dp2_step_perturbed_pole_order():
     params = build_dp2_params(**TAU_PARAMS_5)
     x = EpsRational(EpsPoly((1, 1)))
     x_next, y_next = dp2_step(x, EpsRational.from_const(3), 4, params)
-    assert ord0(x_next) == -1
+    assert x_next.ord0() == -1
     assert y_next == x
+
+
+# -- the gcd-free coefficient sum against the operator formula --------------
+
+step_fracs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+step_polys = st.lists(step_fracs, min_size=1, max_size=4).map(EpsPoly)
+canonical_values = st.tuples(step_polys, step_polys.filter(bool)).map(
+    lambda t: EpsRational(*t))
+# dP-II coefficients are halves of integers: 0, +-k/2 or +-k.
+coefficients = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(lambda k, sign, half: Fraction(sign * k, 2 if half else 1),
+              st.integers(1, 12), st.sampled_from((1, -1)), st.booleans()))
+
+
+def operator_step(x, y, alpha, beta):
+    """The dP-II step as written, through EpsRational's operators: the
+    oracle for the coefficient sum that dp2_step runs on EpsRational."""
+    return alpha / (1 - x) + beta / (1 + x) - y
+
+
+def _outcome(compute, bound):
+    """The pair computed under degree_limit(bound), or the error raised."""
+    with degree_limit(bound):
+        try:
+            value = compute()
+        except (DegreeOverflowError, DivisionByZeroError) as exc:
+            return type(exc)
+    return value._num, value._den
+
+
+def _gcd_fails(*args):
+    raise AssertionError("the coefficient sum ran a polynomial gcd")
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=canonical_values, y=canonical_values, alpha=coefficients,
+       beta=coefficients, bound=st.one_of(st.none(), st.integers(0, 6)))
+@example(x=EpsRational.from_const(1), y=EpsRational.eps(),
+         alpha=Fraction(0), beta=Fraction(3, 2), bound=None)
+@example(x=EpsRational.from_const(-1), y=EpsRational.eps(),
+         alpha=Fraction(5), beta=Fraction(0), bound=None)
+@example(x=EpsRational(EpsPoly((0, 0, 1))), y=EpsRational.from_const(2),
+         alpha=Fraction(0), beta=Fraction(0), bound=1)
+def test_dp2_step_matches_the_operator_formula(x, y, alpha, beta, bound):
+    """dp2_step on EpsRational gives the pair of the operator formula and
+    overflows or hits x = +-1 exactly when it does; its coefficient sum
+    runs no polynomial gcd."""
+    params = SimpleNamespace(alpha=lambda n: alpha, beta=lambda n: beta)
+    expected = _outcome(lambda: operator_step(x, y, alpha, beta), bound)
+    assert _outcome(lambda: dp2_step(x, y, 0, params)[0], bound) == expected
+    expected_sum = _outcome(lambda: alpha / (1 - x) + beta / (1 + x), bound)
+    saved = epsfield.poly_gcd
+    epsfield.poly_gcd = _gcd_fails
+    try:
+        got_sum = _outcome(lambda: dp2_coefficient_sum(x, alpha, beta), bound)
+    finally:
+        epsfield.poly_gcd = saved
+    assert got_sum == expected_sum
+
+
+@pytest.mark.parametrize("s", [1, -1])
+@pytest.mark.parametrize("alpha,beta", [(0, 0), (0, Fraction(3, 2)),
+                                        (Fraction(-5, 2), 0), (2, -1)])
+def test_dp2_step_at_x_plus_or_minus_one_raises(s, alpha, beta):
+    params = SimpleNamespace(alpha=lambda n: Fraction(alpha),
+                             beta=lambda n: Fraction(beta))
+    x, y = EpsRational.from_const(s), EpsRational.eps()
+    with pytest.raises(DivisionByZeroError):
+        operator_step(x, y, Fraction(alpha), Fraction(beta))
+    with pytest.raises(DivisionByZeroError):
+        dp2_step(x, y, 0, params)
 
 
 def scalar_step_oracle(u_prev, u, n, params):
@@ -274,7 +348,7 @@ def test_qrt_step_examples():
         (Fraction(1), Fraction(1))
     x, y = qrt_step(EpsRational.eps(), EpsRational.from_const(1),
                     QRTParams(5, 2, 1))
-    assert ord0(x) == -2
+    assert x.ord0() == -2
     assert y == EpsRational.eps()
     with pytest.raises(DivisionByZeroError):
         qrt_step(Fraction(0), Fraction(1), QRTParams(5, 2, 1))
