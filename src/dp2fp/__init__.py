@@ -14,7 +14,6 @@ from .confinement import (
     SingularLift,
     agr_scan,
     confine,
-    confine_dp2_case,
     sample_images,
     verify_confinement_samples,
 )
@@ -43,7 +42,6 @@ from .padic import (
     PLUS_INFINITY,
     FpElem,
     FpProj,
-    fp_inv,
     is_odd_prime,
     parse_rational,
     pnorm,
@@ -57,8 +55,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfinementReport", "ConfinementStatus", "ScanRecord", "ScanResult",
-    "SingularLift", "agr_scan", "confine", "confine_dp2_case",
-    "sample_images", "verify_confinement_samples",
+    "SingularLift", "agr_scan", "confine", "sample_images",
+    "verify_confinement_samples",
     "EpsPoly", "EpsRational", "degree_limit",
     "Dp2Error",
     "FpState", "PatternOutput", "detect_period", "dp2_fp_orbit",
@@ -66,7 +64,7 @@ __all__ = [
     "DP2Map", "DP2Params", "QRTMap", "QRTParams", "build_dp2_params",
     "dp2_scalar_residual", "dp2_step", "qrt_step",
     "CustomMap", "parse_map_expr", "print_map_expr",
-    "PLUS_INFINITY", "FpElem", "FpProj", "fp_inv", "is_odd_prime",
+    "PLUS_INFINITY", "FpElem", "FpProj", "is_odd_prime",
     "parse_rational", "pnorm", "reduce_mod", "reduce_proj", "vp",
     "TauParams", "laguerre", "rational_u", "reduced_solution", "tau_det",
     "taucond",

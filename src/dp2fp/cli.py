@@ -138,10 +138,13 @@ def _residue_text(value) -> str:
     return "inf" if value is None else str(value)
 
 
-def _cmd_evolve(args):
+def _cmd_evolve(args, parser):
     """The first --steps values, then the same orbit continued until a
     state repeats, for the period; every value is computed once."""
     check_odd_prime(args.p)
+    if args.p > confinement.MAX_EVOLVE_PRIME:
+        parser.error(
+            f"evolve is guarded to p <= {confinement.MAX_EVOLVE_PRIME}")
     params = build_dp2_params(args.p, args.a, args.delta, args.z0)
     values = fpdynamics.iterate_dp2_residues(args.u0, args.u1, params)
     orbit = list(islice(values, args.steps))
@@ -312,7 +315,7 @@ def main(argv=None) -> int:
                "result": None, "errors": []}
     try:
         if command == "evolve":
-            payload["result"] = _cmd_evolve(args)
+            payload["result"] = _cmd_evolve(args, parser)
         elif command == "tau-orbit":
             payload["result"] = _cmd_tau_orbit(args)
         elif command == "agr-scan":

@@ -28,7 +28,7 @@ from itertools import count, islice
 
 from .epsfield import EpsRational
 from .errors import DegreeOverflowError, DivisionByZeroError
-from .padic import FpProj, reduce_proj, vp
+from .padic import FpProj, reduce_proj
 
 
 class ConfinementStatus(Enum):
@@ -125,20 +125,6 @@ def confine(map_family, lift: SingularLift, max_steps: int = 30) -> ConfinementR
                                      x_trace=x_trace, certified=certified)
     return ConfinementReport(status=ConfinementStatus.NOT_CONFINED,
                              pole_orders=pole_orders, x_trace=x_trace)
-
-
-def confine_dp2_case(params, singular_value: int, n: int, y0,
-                     max_steps: int = 30) -> ConfinementReport:
-    """Confinement at x = +1 or -1 for dP-II, starting at time step n."""
-    from .maps import DP2Map
-
-    if singular_value not in (1, -1):
-        raise ValueError("singular_value must be +1 or -1")
-    y0 = Fraction(y0)
-    if vp(y0, params.p) < 0:
-        raise ValueError("companion coordinate must be p-integral")
-    lift = SingularLift(s=Fraction(singular_value), y0=y0, n0=n)
-    return confine(DP2Map(params), lift, max_steps=max_steps)
 
 
 def sample_images(map_family, lift: SingularLift, m: int):
@@ -247,17 +233,21 @@ class ScanResult:
 
 MAX_SCAN_PRIME = 101
 
+# The largest prime ``evolve`` takes.  Its period search keeps about 4p
+# states; at p = 65521 the process peaks at 76 MB.
+MAX_EVOLVE_PRIME = 1 << 16
 
-def agr_scan(map_family, max_steps: int = 30, verify_samples: bool = True) -> ScanResult:
+
+def agr_scan(map_family, max_steps: int = 30) -> ScanResult:
     """Run confinement at every reduced singular point of the family.
 
     One record per (singular point, companion residue, time step).  The
     scan then checks, for each (point, n, m) group, that the confined
     images depend on the companion residue through a single fractional
     linear formula.  A CONFINED record is lift-independent
-    (``sampling_ok`` True) when ``confine`` certified it; otherwise, unless
-    ``verify_samples`` is off, it runs the nine-sample exact-rational
-    agreement test, and a disagreement makes the scan ambiguous.
+    (``sampling_ok`` True) when ``confine`` certified it; otherwise it runs
+    the nine-sample exact-rational agreement test, and a disagreement makes
+    the scan ambiguous.
     """
     p = map_family.p
     if p > MAX_SCAN_PRIME:
@@ -277,7 +267,7 @@ def agr_scan(map_family, max_steps: int = 30, verify_samples: bool = True) -> Sc
         sampling_ok = None
         if report.certified:
             sampling_ok = True
-        elif verify_samples and report.status is ConfinementStatus.CONFINED:
+        elif report.status is ConfinementStatus.CONFINED:
             sampling_ok = verify_confinement_samples(map_family, lift, report)
         records.append(ScanRecord(point=label, y_residue=y_res, n=n,
                                   report=report, sampling_ok=sampling_ok,

@@ -19,10 +19,9 @@ degree is how a non-confining orbit announces itself, and it must stay
 distinguishable from an ordinary pole at e = 0.
 
 Arithmetic runs on ints only, and every gcd goes through ``poly_gcd``.
-Its shortcuts, in order: a constant operand gives 1; the power of e comes
-from the orders; the primitive part of the shorter operand is the gcd when
-it divides the longer one exactly; a pair proved coprime mod 2**61 - 1
-gives 1.  Every other pair runs Collins' primitive PRS.
+A constant operand gives 1, a zero operand gives the other one made
+primitive, and the power of e comes from the orders; Collins' primitive
+PRS computes the rest.
 
 An int or Fraction operand u/w stays a scalar: N/D + u/w is
 (N*w + u*D)/(D*w), (N/D) * (u/w) is (N*u)/(D*w), and so on, with no
@@ -141,9 +140,6 @@ ONE = EpsPoly(1)
 
 _ONE = (1,)
 
-# The prime 2**61 - 1 of the modular coprimality certificate in poly_gcd.
-GCD_CHECK_PRIME = (1 << 61) - 1
-
 
 def _ord(a: tuple) -> int:
     """Index of the lowest nonzero coefficient of a nonzero polynomial."""
@@ -184,8 +180,8 @@ def _pow(a: tuple, k: int) -> tuple:
     return result
 
 
-def _quotient(a: tuple, b: tuple) -> tuple | None:
-    """a / b in Z[e], or None when b does not divide a there."""
+def _exact_div(a: tuple, b: tuple) -> tuple:
+    """a / b in Z[e]; Dp2Error unless b divides a there."""
     db = len(b) - 1
     rem = list(a)
     quo = [0] * max(len(a) - db, 0)
@@ -193,19 +189,14 @@ def _quotient(a: tuple, b: tuple) -> tuple | None:
     for i in range(len(quo) - 1, -1, -1):
         c, r = divmod(rem[i + db], lead)
         if r:
-            return None
+            break
         if c:
             quo[i] = c
             rem[i:i + db] = [x - c * y for x, y in zip(rem[i:i + db], low)]
-    return None if any(rem[:db]) else tuple(quo)
-
-
-def _exact_div(a: tuple, b: tuple) -> tuple:
-    """a / b in Z[e]; Dp2Error unless b divides a there."""
-    quo = _quotient(a, b)
-    if quo is None:
-        raise Dp2Error("internal: polynomial division expected to be exact")
-    return quo
+    else:
+        if not any(rem[:db]):
+            return tuple(quo)
+    raise Dp2Error("internal: polynomial division expected to be exact")
 
 
 def _primitive(a: tuple) -> tuple:
@@ -214,37 +205,6 @@ def _primitive(a: tuple) -> tuple:
     if a[-1] < 0:
         g = -g
     return a if g == 1 else tuple([c // g for c in a])
-
-
-def _certified_coprime(a: tuple, b: tuple) -> bool:
-    """Sufficient test that a and b are coprime over Q: the Euclidean
-    algorithm mod q = GCD_CHECK_PRIME ends in a nonzero constant.  Exact
-    when neither leading coefficient vanishes mod q: a common factor over
-    Q, taken primitive, divides both in Z[e] (Gauss's lemma), so it keeps
-    its degree mod q and divides both reductions.
-    """
-    q = GCD_CHECK_PRIME
-    a = [c % q for c in a]
-    b = [c % q for c in b]
-    if not a[-1] or not b[-1]:
-        return False
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        inv = pow(b[-1], -1, q)
-        db = len(b) - 1
-        low = b[:-1]
-        rem = a
-        for i in range(len(a) - 1, db - 1, -1):
-            c = rem[i] * inv % q
-            if c:
-                j = i - db
-                rem[j:i] = [(x - c * y) % q for x, y in zip(rem[j:i], low)]
-        rem = rem[:db]
-        while rem and not rem[-1]:
-            rem.pop()
-        a, b = b, rem
-    return len(b) == 1
 
 
 def _prs_gcd(a: tuple, b: tuple) -> tuple:
@@ -277,32 +237,19 @@ def _prs_gcd(a: tuple, b: tuple) -> tuple:
 
 def poly_gcd(a: tuple, b: tuple) -> tuple:
     """Primitive gcd in Z[e] with a positive leading coefficient, which
-    is the gcd over Q up to a scalar; gcd(a, 0) is a made primitive.
+    is the gcd over Q up to a scalar.
 
-    The shortcuts, in order: a nonzero constant operand gives 1 at once;
-    the power of e in the gcd is read off the operands' orders; what is
-    left is 1 when it has a constant operand; it is the primitive part of
-    the shorter operand when that divides the longer one exactly in Z[e]
-    (by Gauss's lemma, a primitive divisor over Q divides in Z[e]); it is
-    1 when ``_certified_coprime`` proves it coprime.  Every other pair
-    runs ``_prs_gcd``.
+    In order: a nonzero constant operand gives 1; a zero operand gives
+    the other one made primitive (gcd(0, 0) is 0); the power of e in the
+    gcd is the lower of the operands' orders; ``_prs_gcd`` computes the
+    rest.
     """
     if len(a) == 1 or len(b) == 1:
         return _ONE
     if not a or not b:
         return _primitive(a or b) if a or b else ()
     i, j = _ord(a), _ord(b)
-    a, b = a[i:], b[j:]
-    if len(a) < len(b):
-        a, b = b, a
-    if len(b) == 1:
-        g = _ONE
-    else:
-        g = _primitive(b)
-        # a[0] = q[0] * g[0] is the cheap necessary condition.
-        if a[0] % g[0] or _quotient(a, g) is None:
-            g = _ONE if _certified_coprime(a, b) else _prs_gcd(a, b)
-    return (0,) * min(i, j) + g
+    return (0,) * min(i, j) + _prs_gcd(a[i:], b[j:])
 
 
 def _int_vp(c: int, p: int) -> int:

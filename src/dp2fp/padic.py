@@ -80,10 +80,6 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(num), int(den)) if sep else Fraction(int(num))
 
 
-def format_rational(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
 def vp(x, p: int):
     """p-adic valuation of a rational.
 
@@ -227,23 +223,12 @@ class FpProj:
             object.__setattr__(self, "residue", self.residue % self.p)
 
     @classmethod
-    def finite(cls, value, p: int | None = None) -> "FpProj":
-        if isinstance(value, FpElem):
-            return cls(value.p, value.residue)
-        return cls(p, int(value))
-
-    @classmethod
     def infinity(cls, p: int) -> "FpProj":
         return cls(p, None)
 
     @property
     def is_infinity(self) -> bool:
         return self.residue is None
-
-    def elem(self) -> FpElem:
-        if self.residue is None:
-            raise DivisionByZeroError("the point at infinity has no residue")
-        return FpElem(self.residue, self.p)
 
     def __str__(self):
         return "inf" if self.residue is None else str(self.residue)
@@ -270,8 +255,3 @@ def reduce_proj(x, p: int) -> FpProj:
     if x.denominator % p == 0:
         return FpProj.infinity(p)
     return FpProj(p, x.numerator * pow(x.denominator, -1, p))
-
-
-def fp_inv(u: FpElem) -> FpElem:
-    """Multiplicative inverse in F_p; errors on zero."""
-    return u.inverse()

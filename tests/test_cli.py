@@ -267,6 +267,11 @@ def test_usage_errors_exit_two(capsys):
               "--p", "103"])   # above confinement.MAX_SCAN_PRIME
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
+        main(["evolve", "--p", "65537", "--a", "1", "--delta", "2",
+              "--z0", "3", "--u0", "1", "--u1", "2"])   # above MAX_EVOLVE_PRIME
+    assert exc.value.code == 2
+    assert "evolve is guarded to p <= 65536" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
     capsys.readouterr()

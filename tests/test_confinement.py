@@ -18,7 +18,6 @@ from dp2fp import (
     agr_scan,
     build_dp2_params,
     confine,
-    confine_dp2_case,
     degree_limit,
     reduce_proj,
     sample_images,
@@ -37,6 +36,12 @@ def proj(p, r):
 
 
 INF5 = FpProj.infinity(5)
+
+
+def confine_at(params, s, n, y0):
+    """dP-II confinement at x = s from time step n, with companion y0."""
+    return confine(DP2Map(params),
+                   SingularLift(s=Fraction(s), y0=Fraction(y0), n0=n))
 
 
 class TestQRTFamily:
@@ -92,7 +97,7 @@ class TestQRTFamily:
 class TestDP2Cases:
     def test_case_two_matches_closed_form(self):
         params = build_dp2_params(**TAU5)
-        rep = confine_dp2_case(params, +1, 4, 3)
+        rep = confine_at(params, +1, 4, 3)
         assert rep.status is ConfinementStatus.CONFINED
         assert rep.m == 3
         assert rep.image == (proj(5, 2), proj(5, 4))
@@ -101,7 +106,7 @@ class TestDP2Cases:
     def test_case_one_single_step(self):
         params = build_dp2_params(**TAU5)
         # alpha_3 = 0 exactly
-        rep = confine_dp2_case(params, +1, 3, 2)
+        rep = confine_at(params, +1, 3, 2)
         assert rep.m == 1
         expected = reduce_proj(params.beta(3) / 2 - 2, 5)
         assert rep.image == (expected, proj(5, 1))
@@ -111,7 +116,7 @@ class TestDP2Cases:
         beta_zero = next(i for i in range(5) if params.beta(i) == 0)
         n = (beta_zero - 2) % 5
         assert params.alpha(n) != 0
-        rep = confine_dp2_case(params, +1, n, 3)
+        rep = confine_at(params, +1, n, 3)
         assert rep.m == 5
         a, d = Fraction(4), Fraction(2)
         expected = reduce_proj(-(a * d - (a - d) * 3) / (a + d), 5)
@@ -120,7 +125,7 @@ class TestDP2Cases:
 
     def test_case_four_seven_steps(self):
         params = build_dp2_params(5, -2, 2, 2)
-        rep = confine_dp2_case(params, +1, 1, 3)
+        rep = confine_at(params, +1, 1, 3)
         assert rep.m == 7
         assert rep.image == (reduce_proj(Fraction(1 + 2 * 3, 2), 5), proj(5, 4))
         assert rep.x_trace[:6] == [INF5, proj(5, 4), INF5, proj(5, 1),
@@ -134,7 +139,7 @@ class TestDP2Cases:
         assert params.beta(n) == 0   # beta_0 = 0: that's case 1', try n=2
         n = 2
         assert params.beta(n) != 0 and params.alpha(n + 2) != 0
-        rep = confine_dp2_case(params, -1, n, 3)
+        rep = confine_at(params, -1, n, 3)
         assert rep.m == 3
         a, d = params.a, params.delta
         expected = reduce_proj(
@@ -145,7 +150,7 @@ class TestDP2Cases:
 
     def test_mirrored_case_one(self):
         params = build_dp2_params(**TAU5)
-        rep = confine_dp2_case(params, -1, 0, 3)   # beta_0 = 0 exactly
+        rep = confine_at(params, -1, 0, 3)   # beta_0 = 0 exactly
         assert rep.m == 1
         expected = reduce_proj(params.alpha(0) / 2 - 3, 5)
         assert rep.image == (expected, proj(5, 4))
@@ -155,7 +160,7 @@ class TestDP2Cases:
         alpha_zero = next(i for i in range(5) if params.alpha(i) == 0)
         n = (alpha_zero - 2) % 5
         assert params.beta(n) != 0
-        rep = confine_dp2_case(params, -1, n, 3)
+        rep = confine_at(params, -1, n, 3)
         assert rep.m == 7
         assert rep.image == (reduce_proj(Fraction(2 * 3 - 1, 2), 5), proj(5, 1))
 
@@ -163,7 +168,7 @@ class TestDP2Cases:
         # every intermediate step has a pole or reduces into {1, p-1}
         params = build_dp2_params(**TAU5)
         for n, y0 in ((4, 3), (1, 2)):
-            rep = confine_dp2_case(params, +1, n, y0)
+            rep = confine_at(params, +1, n, y0)
             if rep.m == 1:
                 continue
             for j in range(rep.m - 1):
@@ -190,7 +195,7 @@ class TestPathologicalRegime:
 
     def test_lengths_depend_on_companion_residue(self):
         params = build_dp2_params(3, -8, 2, 2)   # a + delta = -6 = 0 mod 3
-        lengths = {y0: confine_dp2_case(params, +1, 2, y0).m for y0 in range(3)}
+        lengths = {y0: confine_at(params, +1, 2, y0).m for y0 in range(3)}
         assert lengths == {0: 7, 1: 5, 2: 7}
 
     def test_scan_flags_ambiguity(self):
@@ -327,7 +332,7 @@ class TestWindowReuse:
     def test_samples_through_shared_windows_match_the_certificate(
             self, p, a, delta, z0, refused):
         fam = DP2Map(build_dp2_params(p, a, delta, z0))
-        res = agr_scan(fam, verify_samples=False)
+        res = agr_scan(fam)
         seen = 0
         for rec in res.records:
             rep = rec.report
@@ -461,7 +466,7 @@ def test_confinement_at_negative_time_steps():
     params = build_dp2_params(5, 4, 2, 2)
     for n in (-7, -3, -1):
         for s in (1, -1):
-            rep = confine_dp2_case(params, s, n, 2)
+            rep = confine_at(params, s, n, 2)
             assert rep.status is ConfinementStatus.CONFINED
             assert rep.m in (1, 3, 5, 7)
             fam = DP2Map(params)
@@ -472,11 +477,7 @@ def test_confinement_at_negative_time_steps():
 def test_confine_rejects_bad_arguments():
     params = build_dp2_params(**TAU5)
     with pytest.raises(ValueError):
-        confine_dp2_case(params, +2, 0, 0)
-    with pytest.raises(ValueError):
         confine(DP2Map(params), SingularLift(Fraction(1), Fraction(0)), 0)
-    with pytest.raises(ValueError):
-        confine_dp2_case(params, +1, 0, Fraction(1, 5))
 
 
 def test_true_singularity_propagates():

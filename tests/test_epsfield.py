@@ -1,5 +1,6 @@
 """Perturbation polynomials and their quotient field."""
 
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -9,8 +10,7 @@ from hypothesis import strategies as st
 
 from dp2fp import EpsPoly, EpsRational, degree_limit
 from dp2fp import epsfield
-from dp2fp.epsfield import (GCD_CHECK_PRIME, ONE, ZERO, _certified_coprime,
-                            _exact_div, poly_gcd)
+from dp2fp.epsfield import ONE, ZERO, _exact_div, poly_gcd
 from dp2fp.errors import (DegreeOverflowError, DivisionByZeroError, Dp2Error,
                           PoleAtZeroError)
 from dp2fp.padic import PLUS_INFINITY, FpProj, reduce_proj, vp
@@ -369,39 +369,30 @@ def poly_lists(max_size=5):
     return st.lists(small_fracs, min_size=0, max_size=max_size)
 
 
-Q = GCD_CHECK_PRIME
+Q = (1 << 61) - 1
 SHARED_Q = (1, 1, Q)            # 1 + e + q e^2: its leading coefficient is 0 mod q
-# Pairs (f, g) whose gcds the modular certificate refuses, so the kernel
-# runs the primitive PRS: shared factors with a leading coefficient
-# divisible by q, 1 + e against 1 - q + e (coprime, but equal mod q), and
-# shared factors of positive degree that are not powers of e, other than
-# the shorter operand itself.  e against e - q is refused too, but its gcd
-# is read off the orders of e; e(1 + e) against (1 - e)(1 + e) settles by
-# dividing by the shorter operand.
+# Pairs (f, g) that a gcd modulo the prime q cannot decide: shared
+# factors with a leading coefficient divisible by q, 1 + e against
+# 1 - q + e and e against e - q (coprime, but equal mod q); and shared
+# factors of positive degree that are not powers of e, one of them the
+# shorter operand itself (e(1 + e) against (1 - e)(1 + e)).
 PRS_CASES = [
     ((ref_mul(SHARED_Q, (2, 1)), ref_mul(SHARED_Q, (3, -1))),
-     (SHARED_Q, (5, 1)), True),
-    (((1,), SHARED_Q), ((2,), ref_mul(SHARED_Q, (1, 1))), True),
-    (((1,), (1, 1)), ((1,), (1 - Q, 1)), True),
-    (((1, 1), (0, 1)), ((1,), (-Q, 1)), False),
-    (((2, 3, 1), (0, 3, 4, 1)), ((1, 2, 1), (6, 5, 1)), True),
-    (((Fraction(1, 2), 0, 1), (0, 0, 1, 0, 1)), ((0, 1, 1), (1, 0, -1)), False),
+     (SHARED_Q, (5, 1))),
+    (((1,), SHARED_Q), ((2,), ref_mul(SHARED_Q, (1, 1)))),
+    (((1,), (1, 1)), ((1,), (1 - Q, 1))),
+    (((1, 1), (0, 1)), ((1,), (-Q, 1))),
+    (((2, 3, 1), (0, 3, 4, 1)), ((1, 2, 1), (6, 5, 1))),
+    (((Fraction(1, 2), 0, 1), (0, 0, 1, 0, 1)), ((0, 1, 1), (1, 0, -1))),
     ((ref_mul((1, 0, 1), (2, 1)), ref_mul((1, 0, 1), (-1, 0, 3))),
-     ((1,), (1, 1)), True),
+     ((1,), (1, 1))),
 ]
 
 
 @pytest.mark.parametrize("bound", [None, 3, 6])
-@pytest.mark.parametrize("f,g,runs_prs", PRS_CASES)
-def test_kernel_matches_the_reference_on_the_prs_path(f, g, runs_prs, bound,
-                                                      monkeypatch):
-    runs = []
-    prs = epsfield._prs_gcd
-    monkeypatch.setattr(epsfield, "_prs_gcd",
-                        lambda a, b: runs.append((a, b)) or prs(a, b))
+@pytest.mark.parametrize("f,g", PRS_CASES)
+def test_kernel_matches_the_reference_on_the_prs_path(f, g, bound):
     check_against_reference(f, g, bound)
-    if bound is None:
-        assert bool(runs) == runs_prs
 
 
 @settings(max_examples=200, deadline=None)
@@ -429,46 +420,56 @@ def test_poly_gcd_finds_a_shared_factor(f, g, h):
            lambda g: g[-1] != 0),
        u=poly_lists(3), v=poly_lists(3), divisor=st.booleans())
 def test_poly_gcd_of_a_multiple(g, u, v, divisor):
-    """(g*u, g) and (g*u, g*v) against Euclid over Q.  When the shorter
-    operand divides the other, the gcd is settled by one exact division,
-    without the primitive PRS."""
+    """(g*u, g) and (g*u, g*v) against Euclid over Q, in both orders."""
     a, b = ref_mul(g, u), (g if divisor else ref_mul(g, v))
     expected = reference_gcd(a, b)
-    runs = []
-    prs = epsfield._prs_gcd
-    epsfield._prs_gcd = lambda x, y: runs.append((x, y)) or prs(x, y)
-    try:
-        assert monic(poly_gcd(ints(a), ints(b))) == expected
-        assert monic(poly_gcd(ints(b), ints(a))) == expected
-    finally:
-        epsfield._prs_gcd = prs
-    if divisor:
-        assert not runs
+    assert monic(poly_gcd(ints(a), ints(b))) == expected
+    assert monic(poly_gcd(ints(b), ints(a))) == expected
+
+
+def _seeded_poly(rng, degree, bits):
+    """Random integer coefficients below 2**bits, of exact degree."""
+    coeffs = [rng.randrange(-(1 << bits), 1 << bits) for _ in range(degree)]
+    return coeffs + [rng.randrange(1, 1 << bits)]
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_poly_gcd_at_the_degrees_of_the_qrt_sweep(planted):
+    """Degree 56 against 21 with 32-bit coefficients, the sizes the QRT
+    sweep reaches: a coprime pair, and a pair sharing e**3 times a planted
+    factor of degree 14; against Euclid over Q, in both orders."""
+    rng = random.Random(56021)
+    if planted:
+        h = ref_mul((0, 0, 0, 1), _seeded_poly(rng, 14, 32))
+        a = ref_mul(_seeded_poly(rng, 39, 32), h)
+        b = ref_mul((0, 0, 1), ref_mul(_seeded_poly(rng, 2, 32), h))
+    else:
+        a, b = _seeded_poly(rng, 56, 32), _seeded_poly(rng, 21, 32)
+    assert (len(a) - 1, len(b) - 1) == (56, 21)
+    expected = reference_gcd(a, b)
+    assert len(expected) - 1 == (17 if planted else 0)
+    assert poly_gcd(ints(a), ints(b)) == ints(expected)
+    assert poly_gcd(ints(b), ints(a)) == ints(expected)
 
 
 def test_poly_gcd_falls_back_when_q_divides_a_denominator():
     # Clearing the denominator q of e + 1/q gives 1 + q*e, whose leading
-    # coefficient the certificate refuses.
+    # coefficient vanishes mod q.
     shared = (Fraction(1, Q), 1)                       # e + 1/q
     a, b = ints(ref_mul(shared, (2, 1))), ints(ref_mul(shared, (3, 1)))
-    assert not _certified_coprime(a, b)
     assert monic(poly_gcd(a, b)) == shared
     coprime = ints((Fraction(1, Q), 1)), ints((2, 1))
-    assert not _certified_coprime(*coprime)
     assert poly_gcd(*coprime) == (1,)
 
 
 def test_poly_gcd_falls_back_when_coprime_only_over_q():
-    # e and e - q are coprime over Q but equal mod q, so the certificate
-    # cannot decide them; a leading coefficient divisible by q is refused.
+    # e and e - q are coprime over Q but equal mod q, and so are 1 + e and
+    # 1 - q + e; 1 + e + q e^2 has a leading coefficient divisible by q.
     e, e_minus_q = (0, 1), (-Q, 1)
-    assert not _certified_coprime(e, e_minus_q)
     assert poly_gcd(e, e_minus_q) == (1,)
     lead_q = (1, 1, Q)
-    assert not _certified_coprime(lead_q, e)
     assert poly_gcd(lead_q, e) == (1,)
     one_plus_e, one_minus_q_plus_e = (1, 1), (1 - Q, 1)
-    assert not _certified_coprime(one_plus_e, one_minus_q_plus_e)
     assert poly_gcd(one_plus_e, one_minus_q_plus_e) == (1,)
 
 
