@@ -203,6 +203,9 @@ def _cmd_agr_scan(args, parser):
     if args.p > confinement.MAX_SCAN_PRIME:
         parser.error(
             f"agr-scan is guarded to p <= {confinement.MAX_SCAN_PRIME}")
+    if args.max_steps > confinement.MAX_SCAN_STEPS:
+        parser.error("agr-scan is guarded to --max-steps <= "
+                     f"{confinement.MAX_SCAN_STEPS}")
     family = _build_scan_family(args, parser)
     result = confinement.agr_scan(family, max_steps=args.max_steps)
     reports = []

@@ -233,6 +233,11 @@ class ScanResult:
 
 MAX_SCAN_PRIME = 101
 
+# The largest ``max_steps`` a scan takes.  A scan's records keep a pole
+# order per step; at p = 5, max_steps = 1000 on the map (1/x, x) takes
+# 0.3 s and writes 69 kB of JSON.
+MAX_SCAN_STEPS = 1000
+
 # The largest prime ``evolve`` takes.  Its period search keeps about 4p
 # states; at p = 65521 the process peaks at 76 MB.
 MAX_EVOLVE_PRIME = 1 << 16
@@ -252,6 +257,8 @@ def agr_scan(map_family, max_steps: int = 30) -> ScanResult:
     p = map_family.p
     if p > MAX_SCAN_PRIME:
         raise ValueError(f"scan guarded to p <= {MAX_SCAN_PRIME}")
+    if max_steps > MAX_SCAN_STEPS:
+        raise ValueError(f"scan guarded to max_steps <= {MAX_SCAN_STEPS}")
     records = []
     for label, y_res, n, s, y0, perturb_y in map_family.scan_points():
         lift = SingularLift(s=s, y0=y0, n0=n, perturb_y=perturb_y)

@@ -18,10 +18,15 @@ Exceeding it raises ``DegreeOverflowError``: blowup of the perturbation
 degree is how a non-confining orbit announces itself, and it must stay
 distinguishable from an ordinary pole at e = 0.
 
-Arithmetic runs on ints only, and every gcd goes through ``poly_gcd``.
+Arithmetic runs on ints only, and every gcd goes through ``poly_gcd``,
+which returns the gcd with both cofactors, so no division follows it.
 A constant operand gives 1, a zero operand gives the other one made
-primitive, and the power of e comes from the orders; Collins' primitive
-PRS computes the rest.
+primitive, and the power of e comes from the orders.  The heuristic gcd
+GCDHEU computes the rest from the integer gcd of the two polynomials'
+values at an integer xi >= 2*min(|a|oo, |b|oo) + 2.  That puts xi/2
+above every root of one operand, so a candidate that divides both is
+the gcd, and a growing xi always reaches one (``_heuristic_gcd`` has
+both proofs).
 
 An int or Fraction operand u/w stays a scalar: N/D + u/w is
 (N*w + u*D)/(D*w), (N/D) * (u/w) is (N*u)/(D*w), and so on, with no
@@ -37,7 +42,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import (DegreeOverflowError, DivisionByZeroError, Dp2Error,
                      PoleAtZeroError)
@@ -196,7 +201,7 @@ def _exact_div(a: tuple, b: tuple) -> tuple:
     else:
         if not any(rem[:db]):
             return tuple(quo)
-    raise Dp2Error("internal: polynomial division expected to be exact")
+    raise Dp2Error("polynomial division is not exact in Z[e]")
 
 
 def _primitive(a: tuple) -> tuple:
@@ -207,49 +212,80 @@ def _primitive(a: tuple) -> tuple:
     return a if g == 1 else tuple([c // g for c in a])
 
 
-def _prs_gcd(a: tuple, b: tuple) -> tuple:
-    """Primitive gcd of two nonzero polynomials by Collins' primitive PRS:
-    pseudo-remainders, each made primitive."""
-    a, b = _primitive(a), _primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        lead = b[-1]
-        db = len(b) - 1
-        low = b[:-1]
-        rem = list(a)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if not c:
-                continue
-            if c % lead:
-                rem[:i] = [lead * x for x in rem[:i]]
-            else:
-                c //= lead
-            j = i - db
-            rem[j:i] = [x - c * y for x, y in zip(rem[j:i], low)]
-        rem = _strip(rem[:db])
-        if not rem:
-            return b
-        a, b = b, _primitive(rem)
-    return _ONE
+def _value(a: tuple, xi: int) -> int:
+    """a evaluated at the integer xi, by Horner's rule."""
+    v = 0
+    for c in reversed(a):
+        v = v * xi + c
+    return v
 
 
-def poly_gcd(a: tuple, b: tuple) -> tuple:
-    """Primitive gcd in Z[e] with a positive leading coefficient, which
-    is the gcd over Q up to a scalar.
+def _heuristic_gcd(a: tuple, b: tuple) -> tuple:
+    """(g, a/g, b/g) for nonzero a and b with nonzero constant terms, g
+    the primitive gcd: GCDHEU (Char, Geddes and Gonnet, J. Symbolic
+    Comput. 7 (1989) 31) with the exactness bound of Liao and Fateman
+    (ISSAC 1995).
 
-    In order: a nonzero constant operand gives 1; a zero operand gives
-    the other one made primitive (gcd(0, 0) is 0); the power of e in the
-    gcd is the lower of the operands' orders; ``_prs_gcd`` computes the
-    rest.
+    At an integer xi, take h = gcd(a(xi), b(xi)), rebuild G from the
+    symmetric xi-adic digits of h (each in (-xi/2, xi/2]) and let g be
+    its primitive part.  g is accepted when it divides a and b exactly;
+    those quotients are the cofactors.  Otherwise xi grows and the loop
+    runs again.
+
+    Exactness.  The first xi, 2*min(|a|oo, |b|oo) + 2, has
+    xi*|lc f| >= 2*|f|oo + 2*|lc f| for the operand f of smaller norm,
+    as |lc f| >= 1, and xi only grows.  So xi/2 exceeds Cauchy's bound
+    1 + |f|oo/|lc f| on the roots of f.  An accepted g divides the gcd
+    d, say d = g*H.  Then d(xi) divides h = cont(G)*g(xi), so H(xi)
+    divides cont(G) <= xi/2.  But deg H >= 1 would give
+    |H(xi)| > (xi/2)**deg H >= xi/2, since every root of H is a root of
+    f.  So H is a unit and g is the gcd.
+
+    Termination.  h = d(xi)*k, where k = gcd(a'(xi), b'(xi)) for the
+    cofactors a', b' divides Res(a', b') != 0.  Once
+    xi > 2*|Res(a', b')|*|d|oo, the digits of h are the coefficients of
+    k*d, so the loop ends with g = d.
+    """
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    while True:
+        h = gcd(_value(a, xi), _value(b, xi))
+        digits = []
+        while h:
+            h, c = divmod(h, xi)
+            if 2 * c > xi:
+                c -= xi
+                h += 1
+            digits.append(c)
+        g = _primitive(tuple(digits))
+        if len(g) == 1:
+            return _ONE, a, b
+        try:
+            return g, _exact_div(a, g), _exact_div(b, g)
+        except Dp2Error:
+            xi = xi * isqrt(isqrt(xi)) * 73794 // 27011
+
+
+def poly_gcd(a: tuple, b: tuple) -> tuple[tuple, tuple, tuple]:
+    """(g, a/g, b/g): g the primitive gcd in Z[e] with a positive leading
+    coefficient, which is the gcd over Q up to a scalar, and the two
+    cofactors in Z[e].
+
+    In order: a nonzero constant operand gives g = 1; a zero operand
+    gives the other one made primitive (gcd(0, 0) is 0, with cofactors
+    0); the power of e in g is the lower of the operands' orders;
+    ``_heuristic_gcd`` computes the rest.
     """
     if len(a) == 1 or len(b) == 1:
-        return _ONE
+        return _ONE, a, b
     if not a or not b:
-        return _primitive(a or b) if a or b else ()
+        f = a or b
+        g = _primitive(f) if f else ()
+        # 0/g is 0, and f/g is f's content with f's sign.
+        return g, a and (f[-1] // g[-1],), b and (f[-1] // g[-1],)
     i, j = _ord(a), _ord(b)
-    return (0,) * min(i, j) + _prs_gcd(a[i:], b[j:])
+    k = min(i, j)
+    g, u, v = _heuristic_gcd(a[i:], b[j:])
+    return (0,) * k + g, (0,) * (i - k) + u, (0,) * (j - k) + v
 
 
 def _int_vp(c: int, p: int) -> int:
@@ -303,15 +339,11 @@ def _shift(num: tuple, den: tuple, u: int, w: int) -> "EpsRational":
 
 def _sum(a: tuple, b: tuple, c: tuple, d: tuple) -> "EpsRational":
     """a/b + c/d for canonical a/b and c/d."""
-    t = poly_gcd(b, d)
-    if len(t) == 1:
-        return _canonical(_add(_mul(a, d), _mul(c, b)), _mul(b, d))
-    b1, d1 = _exact_div(b, t), _exact_div(d, t)
+    t, b1, d1 = poly_gcd(b, d)
     r = _add(_mul(a, d1), _mul(c, b1))
-    g2 = poly_gcd(r, t)
-    if len(g2) > 1:
-        r = _exact_div(r, g2)
-        t = _exact_div(t, g2)
+    if len(t) == 1:
+        return _canonical(r, _mul(b, d))
+    _, r, t = poly_gcd(r, t)
     return _canonical(r, _mul(_mul(b1, d1), t))
 
 
@@ -319,12 +351,8 @@ def _product(a: tuple, b: tuple, c: tuple, d: tuple) -> "EpsRational":
     """(a/b) * (c/d) for canonical a/b and c/d."""
     if not a or not c:
         return _canonical((), _ONE)
-    g1 = poly_gcd(a, d)
-    g2 = poly_gcd(c, b)
-    if len(g1) > 1:
-        a, d = _exact_div(a, g1), _exact_div(d, g1)
-    if len(g2) > 1:
-        c, b = _exact_div(c, g2), _exact_div(b, g2)
+    _, a, d = poly_gcd(a, d)
+    _, c, b = poly_gcd(c, b)
     return _canonical(_mul(a, c), _mul(b, d))
 
 
@@ -390,10 +418,7 @@ class EpsRational:
             raise DivisionByZeroError("zero denominator in perturbation function")
         num, den = _cleared(num, den)
         if num:
-            g = poly_gcd(num, den)
-            if len(g) > 1:
-                num = _exact_div(num, g)
-                den = _exact_div(den, g)
+            _, num, den = poly_gcd(num, den)
         made = _canonical(num, den)
         self._num, self._den = made._num, made._den
 

@@ -272,6 +272,12 @@ def test_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
     assert "evolve is guarded to p <= 65536" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
+        main(["agr-scan", "--map", "custom", "--expr-x", "1/x", "--expr-y",
+              "x", "--p", "5", "--max-steps", "1001"])   # above MAX_SCAN_STEPS
+    assert exc.value.code == 2
+    assert ("agr-scan is guarded to --max-steps <= 1000"
+            in capsys.readouterr().err)
+    with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
     capsys.readouterr()

@@ -23,7 +23,7 @@ from dp2fp import (
     sample_images,
     verify_confinement_samples,
 )
-from dp2fp.confinement import fits_fractional_linear
+from dp2fp.confinement import MAX_SCAN_STEPS, fits_fractional_linear
 from dp2fp.errors import DivisionByZeroError
 from dp2fp.mapexpr import CustomMap
 from dp2fp.padic import PLUS_INFINITY
@@ -478,6 +478,8 @@ def test_confine_rejects_bad_arguments():
     params = build_dp2_params(**TAU5)
     with pytest.raises(ValueError):
         confine(DP2Map(params), SingularLift(Fraction(1), Fraction(0)), 0)
+    with pytest.raises(ValueError):
+        agr_scan(DP2Map(params), max_steps=MAX_SCAN_STEPS + 1)
 
 
 def test_true_singularity_propagates():

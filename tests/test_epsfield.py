@@ -62,8 +62,9 @@ def test_exact_div_and_gcd():
     a = (2, 3, 1)       # (1+e)(2+e)
     b = (1, 1)
     assert _exact_div(a, b) == (2, 1)
-    assert poly_gcd(a, b) == (1, 1)
-    assert poly_gcd(b, ()) == (1, 1)
+    assert poly_gcd(a, b) == ((1, 1), (2, 1), (1,))
+    assert poly_gcd(b, ()) == ((1, 1), (1,), ())
+    assert poly_gcd((), (-2, -2)) == ((1, 1), (), (-2,))
 
 
 def test_degree_bound_raises():
@@ -139,7 +140,7 @@ def test_field_axioms_spot_checks(f, g):
 @given(f=eps_rationals())
 def test_canonical_gcd_one(f):
     num, den = f._num, f._den
-    assert poly_gcd(num, den) == (1,)
+    assert poly_gcd(num, den) == ((1,), num, den)
     assert gcd(*num, *den) == 1                   # content 1
     assert next(c for c in den if c) > 0          # den's trailing sign
 
@@ -199,6 +200,14 @@ def ints(coeffs):
 
 def monic(coeffs):
     return tuple(Fraction(c, coeffs[-1]) for c in coeffs)
+
+
+def gcd_with_cofactors(a, b):
+    """The gcd from poly_gcd, once its cofactors pass g * (a/g) = a and
+    g * (b/g) = b."""
+    g, u, v = poly_gcd(a, b)
+    assert tuple(ref_mul(g, u)) == a and tuple(ref_mul(g, v)) == b
+    return g
 
 
 class Ref:
@@ -296,6 +305,9 @@ small_pairs = st.tuples(
 @settings(max_examples=300, deadline=None)
 @given(f=small_pairs, g=small_pairs,
        bound=st.one_of(st.none(), st.integers(0, 8)))
+# e/(1 + e) + 1/(1 + e) = 1: the numerator of the sum shares the factor
+# 1 + e with the denominators' gcd.
+@example(f=((0, 1), (1, 1)), g=((1,), (1, 1)), bound=None)
 def test_kernel_matches_the_euclid_reference(f, g, bound):
     check_against_reference(f, g, bound)
 
@@ -376,7 +388,7 @@ SHARED_Q = (1, 1, Q)            # 1 + e + q e^2: its leading coefficient is 0 mo
 # 1 - q + e and e against e - q (coprime, but equal mod q); and shared
 # factors of positive degree that are not powers of e, one of them the
 # shorter operand itself (e(1 + e) against (1 - e)(1 + e)).
-PRS_CASES = [
+HARD_GCD_CASES = [
     ((ref_mul(SHARED_Q, (2, 1)), ref_mul(SHARED_Q, (3, -1))),
      (SHARED_Q, (5, 1))),
     (((1,), SHARED_Q), ((2,), ref_mul(SHARED_Q, (1, 1)))),
@@ -389,8 +401,9 @@ PRS_CASES = [
 ]
 
 
+# The test keeps its name from when these cases ran the primitive PRS.
 @pytest.mark.parametrize("bound", [None, 3, 6])
-@pytest.mark.parametrize("f,g", PRS_CASES)
+@pytest.mark.parametrize("f,g", HARD_GCD_CASES)
 def test_kernel_matches_the_reference_on_the_prs_path(f, g, bound):
     check_against_reference(f, g, bound)
 
@@ -398,7 +411,7 @@ def test_kernel_matches_the_reference_on_the_prs_path(f, g, bound):
 @settings(max_examples=200, deadline=None)
 @given(a=poly_lists(), b=poly_lists())
 def test_poly_gcd_matches_reference(a, b):
-    g = poly_gcd(ints(a), ints(b))
+    g = gcd_with_cofactors(ints(a), ints(b))
     assert monic(g) == reference_gcd(a, b)
     assert not g or (g[-1] > 0 and gcd(*g) == 1)    # primitive
 
@@ -410,7 +423,7 @@ def test_poly_gcd_matches_reference(a, b):
 def test_poly_gcd_finds_a_shared_factor(f, g, h):
     a, b = ref_mul(f, h), ref_mul(g, h)
     expected = reference_gcd(a, b)
-    assert monic(poly_gcd(ints(a), ints(b))) == expected
+    assert monic(gcd_with_cofactors(ints(a), ints(b))) == expected
     if any(a) and any(b):
         assert len(expected) >= len(h)    # h divides the gcd
 
@@ -423,8 +436,8 @@ def test_poly_gcd_of_a_multiple(g, u, v, divisor):
     """(g*u, g) and (g*u, g*v) against Euclid over Q, in both orders."""
     a, b = ref_mul(g, u), (g if divisor else ref_mul(g, v))
     expected = reference_gcd(a, b)
-    assert monic(poly_gcd(ints(a), ints(b))) == expected
-    assert monic(poly_gcd(ints(b), ints(a))) == expected
+    assert monic(gcd_with_cofactors(ints(a), ints(b))) == expected
+    assert monic(gcd_with_cofactors(ints(b), ints(a))) == expected
 
 
 def _seeded_poly(rng, degree, bits):
@@ -448,36 +461,84 @@ def test_poly_gcd_at_the_degrees_of_the_qrt_sweep(planted):
     assert (len(a) - 1, len(b) - 1) == (56, 21)
     expected = reference_gcd(a, b)
     assert len(expected) - 1 == (17 if planted else 0)
-    assert poly_gcd(ints(a), ints(b)) == ints(expected)
-    assert poly_gcd(ints(b), ints(a)) == ints(expected)
+    assert gcd_with_cofactors(ints(a), ints(b)) == ints(expected)
+    assert gcd_with_cofactors(ints(b), ints(a)) == ints(expected)
 
 
-def test_poly_gcd_falls_back_when_q_divides_a_denominator():
+def _product_of_shifts(lo, hi):
+    """(e + lo)(e + lo + 1)...(e + hi)."""
+    out = [1]
+    for k in range(lo, hi + 1):
+        out = ref_mul(out, (k, 1))
+    return out
+
+
+@pytest.mark.parametrize("planted", [False, True])
+@pytest.mark.parametrize("m", [10, 14, 20])
+def test_poly_gcd_past_a_failed_evaluation_point(m, planted, monkeypatch):
+    """(e + 1)...(e + m) against (e + m + 1)...(e + 2m), alone and times
+    the common factor e**2 + 3e + 7: their values at the first xi share
+    integer factors that the gcd does not explain, so the first candidate
+    fails and xi grows.  Against Euclid over Q, in both orders."""
+    a, b = _product_of_shifts(1, m), _product_of_shifts(m + 1, 2 * m)
+    if planted:
+        a, b = ref_mul(a, (7, 3, 1)), ref_mul(b, (7, 3, 1))
+    points = set()
+    value = epsfield._value
+    monkeypatch.setattr(epsfield, "_value",
+                        lambda f, xi: points.add(xi) or value(f, xi))
+    expected = ints(reference_gcd(a, b))
+    assert expected == ((7, 3, 1) if planted else (1,))
+    assert gcd_with_cofactors(ints(a), ints(b)) == expected
+    assert len(points) >= 2
+    assert gcd_with_cofactors(ints(b), ints(a)) == expected
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_poly_gcd_matches_sympy(seed):
+    """Seeded pairs of degree 56 against degree up to 56, sharing a
+    factor of degree up to 14 times a power of e, against sympy's
+    primitive gcd over Z when sympy is installed."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    shared = ref_mul([0] * rng.randint(0, 3) + [1],
+                     _seeded_poly(rng, rng.randint(0, 14), 16))
+    k = len(shared) - 1
+    a = ints(ref_mul(shared, _seeded_poly(rng, 56 - k, 16)))
+    b = ints(ref_mul(shared, _seeded_poly(rng, rng.randint(0, 56 - k), 16)))
+    e = sympy.Symbol("e")
+    expected = sympy.Poly(a[::-1], e).gcd(sympy.Poly(b[::-1], e))
+    expected = tuple(int(c) for c in expected.primitive()[1].all_coeffs())
+    assert gcd_with_cofactors(a, b) == expected[::-1]
+    assert gcd_with_cofactors(b, a) == expected[::-1]
+
+
+def test_poly_gcd_when_q_divides_a_denominator():
     # Clearing the denominator q of e + 1/q gives 1 + q*e, whose leading
     # coefficient vanishes mod q.
     shared = (Fraction(1, Q), 1)                       # e + 1/q
     a, b = ints(ref_mul(shared, (2, 1))), ints(ref_mul(shared, (3, 1)))
-    assert monic(poly_gcd(a, b)) == shared
+    assert monic(gcd_with_cofactors(a, b)) == shared
     coprime = ints((Fraction(1, Q), 1)), ints((2, 1))
-    assert poly_gcd(*coprime) == (1,)
+    assert gcd_with_cofactors(*coprime) == (1,)
 
 
-def test_poly_gcd_falls_back_when_coprime_only_over_q():
+def test_poly_gcd_when_coprime_only_over_q():
     # e and e - q are coprime over Q but equal mod q, and so are 1 + e and
     # 1 - q + e; 1 + e + q e^2 has a leading coefficient divisible by q.
     e, e_minus_q = (0, 1), (-Q, 1)
-    assert poly_gcd(e, e_minus_q) == (1,)
+    assert gcd_with_cofactors(e, e_minus_q) == (1,)
     lead_q = (1, 1, Q)
-    assert poly_gcd(lead_q, e) == (1,)
+    assert gcd_with_cofactors(lead_q, e) == (1,)
     one_plus_e, one_minus_q_plus_e = (1, 1), (1 - Q, 1)
-    assert poly_gcd(one_plus_e, one_minus_q_plus_e) == (1,)
+    assert gcd_with_cofactors(one_plus_e, one_minus_q_plus_e) == (1,)
 
 
 def test_poly_gcd_with_a_constant_is_one():
-    assert poly_gcd((3,), (2, 3, 1)) == (1,)
-    assert poly_gcd((1, 1), ints((Fraction(-1, 7),))) == (1,)
-    assert poly_gcd((5,), ()) == (1,)
-    assert poly_gcd((), ()) == ()
+    assert gcd_with_cofactors((3,), (2, 3, 1)) == (1,)
+    assert gcd_with_cofactors((1, 1), ints((Fraction(-1, 7),))) == (1,)
+    assert gcd_with_cofactors((5,), ()) == (1,)
+    assert poly_gcd((), ()) == ((), (), ())
 
 
 def repeated_product(f, k):
@@ -492,7 +553,7 @@ def repeated_product(f, k):
 def test_pow_equals_repeated_product(f, k):
     power = f ** k
     assert power == repeated_product(f, k)
-    assert poly_gcd(power._num, power._den) == (1,)
+    assert poly_gcd(power._num, power._den)[0] == (1,)
     assert gcd(*power._num, *power._den) == 1
     assert power.den.trailing() == 1
 
