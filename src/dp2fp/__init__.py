@@ -19,14 +19,7 @@ from .confinement import (
 )
 from .epsfield import EpsPoly, EpsRational, degree_limit
 from .errors import Dp2Error
-from .fpdynamics import (
-    FpState,
-    PatternOutput,
-    detect_period,
-    dp2_fp_orbit,
-    dp2_fp_pattern,
-    iterate_dp2_fp,
-)
+from .fpdynamics import detect_period, dp2_fp_pattern, iterate_dp2_residues
 from .maps import (
     DP2Map,
     DP2Params,
@@ -59,8 +52,7 @@ __all__ = [
     "verify_confinement_samples",
     "EpsPoly", "EpsRational", "degree_limit",
     "Dp2Error",
-    "FpState", "PatternOutput", "detect_period", "dp2_fp_orbit",
-    "dp2_fp_pattern", "iterate_dp2_fp",
+    "detect_period", "dp2_fp_pattern", "iterate_dp2_residues",
     "DP2Map", "DP2Params", "QRTMap", "QRTParams", "build_dp2_params",
     "dp2_scalar_residual", "dp2_step", "qrt_step",
     "CustomMap", "parse_map_expr", "print_map_expr",

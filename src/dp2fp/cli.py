@@ -145,6 +145,9 @@ def _cmd_evolve(args, parser):
     if args.p > confinement.MAX_EVOLVE_PRIME:
         parser.error(
             f"evolve is guarded to p <= {confinement.MAX_EVOLVE_PRIME}")
+    if args.steps > confinement.MAX_EVOLVE_STEPS:
+        parser.error(
+            f"evolve is guarded to --steps <= {confinement.MAX_EVOLVE_STEPS}")
     params = build_dp2_params(args.p, args.a, args.delta, args.z0)
     values = fpdynamics.iterate_dp2_residues(args.u0, args.u1, params)
     orbit = list(islice(values, args.steps))
@@ -152,30 +155,38 @@ def _cmd_evolve(args, parser):
     return {"sequence": [_residue_text(v) for v in orbit], "period": period}
 
 
-def _first_finite_pair(seq):
-    for i in range(len(seq) - 1):
-        if not seq[i].is_infinity and not seq[i + 1].is_infinity:
+def _first_finite_pair(residues):
+    for i in range(len(residues) - 1):
+        if residues[i] is not None and residues[i + 1] is not None:
             return i
     return None
 
 
-def _cmd_tau_orbit(args):
+def _cmd_tau_orbit(args, parser):
     check_odd_prime(args.p)
+    if args.p > confinement.MAX_EVOLVE_PRIME:
+        parser.error(
+            f"tau-orbit is guarded to p <= {confinement.MAX_EVOLVE_PRIME}")
     count = args.count if args.count is not None else 2 * args.p
+    if count > 2 * confinement.MAX_EVOLVE_PRIME:
+        parser.error("tau-orbit is guarded to --count <= "
+                     f"{2 * confinement.MAX_EVOLVE_PRIME}")
+    if args.N > confinement.MAX_TAU_N:
+        parser.error(f"tau-orbit is guarded to --N <= {confinement.MAX_TAU_N}")
     params = tau.TauParams(N=args.N, lam=args.lam)
-    seq = tau.reduced_solution(params, args.p, count)
+    residues = [v.residue for v in tau.reduced_solution(params, args.p, count)]
     cond = tau.taucond(params, args.p)
 
     dp2 = build_dp2_params(args.p, params.a, params.delta, params.z0)
-    start = _first_finite_pair(seq)
+    start = _first_finite_pair(residues)
     if start is None:
         period = None
     else:
         values = fpdynamics.iterate_dp2_residues(
-            seq[start], seq[start + 1], dp2, start_n=start + 2)
+            residues[start], residues[start + 1], dp2, start_n=start + 2)
         period = fpdynamics.detect_period(values, args.p)
     return {
-        "sequence": [str(v) for v in seq],
+        "sequence": [_residue_text(v) for v in residues],
         "period": period,
         "cond_diag": [str(cond.product_diag), str(cond.ratio_diag)],
         "cond_satisfied": [cond.product_nonzero, cond.ratio_not_two],
@@ -320,7 +331,7 @@ def main(argv=None) -> int:
         if command == "evolve":
             payload["result"] = _cmd_evolve(args, parser)
         elif command == "tau-orbit":
-            payload["result"] = _cmd_tau_orbit(args)
+            payload["result"] = _cmd_tau_orbit(args, parser)
         elif command == "agr-scan":
             payload["result"] = _cmd_agr_scan(args, parser)
         elif command == "reduce":

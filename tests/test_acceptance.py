@@ -19,7 +19,6 @@ from dp2fp import (
     CustomMap,
     DP2Map,
     FpProj,
-    FpState,
     QRTMap,
     QRTParams,
     TauParams,
@@ -244,27 +243,27 @@ def test_criterion_4_cross_engine_equivalence(dp2_sweep, capsys):
     states = 0
     for (p, triple), (params, res) in results.items():
         by_key = {(r.point, r.y_residue, r.n): r.report for r in res.records}
+        step = dp2_fp_pattern(params)
         for t in range(p):
             for u in range(p):
                 for n in range(p):
                     states += 1
-                    out = dp2_fp_pattern(
-                        FpState(FpProj(p, t), FpProj(p, u), n), params)
-                    emitted = list(out.emitted)
+                    emitted = list(step(t, u, n))
                     if (u == 1 and params.alpha(n) != 0) or \
                        (u == p - 1 and params.beta(n) != 0):
                         point = "+1" if u == 1 else "-1"
                         rep = by_key[(point, t, n)]
-                        if rep.m != len(emitted) or rep.x_trace != emitted:
+                        x_trace = [v.residue for v in rep.x_trace]
+                        if rep.m != len(emitted) or x_trace != emitted:
                             mismatches.append((p, triple, t, u, n))
-                        elif rep.image[1] != emitted[-2]:
+                        elif rep.image[1].residue != emitted[-2]:
                             mismatches.append((p, triple, t, u, n, "y"))
                     else:
                         # case 1: one regular step; compare against the
                         # reduced exact step from a p-integral lift
                         x_lift = Fraction(u if u not in (1, p - 1) else u + p)
                         over_q = dp2_step(x_lift, Fraction(t), n, params)
-                        want = reduce_proj(over_q[0], p)
+                        want = reduce_proj(over_q[0], p).residue
                         if len(emitted) != 1 or emitted[0] != want:
                             mismatches.append((p, triple, t, u, n, "case1"))
     elapsed = time.time() - t0
@@ -354,9 +353,9 @@ def test_criterion_6_property_suites(capsys):
         y = t + p * rand_frac(p)
         if x in (1, -1):
             continue
-        out = dp2_fp_pattern(FpState(FpProj(p, t), FpProj(p, u), n), params)
+        emitted = dp2_fp_pattern(params)(t, u, n)
         over_q = dp2_step(x, y, n, params)
-        if out.emitted[0] != reduce_proj(over_q[0], p):
+        if emitted[0] != reduce_proj(over_q[0], p).residue:
             failures.append(("good-reduction", p, triple, u, t, n))
         count += 1
 

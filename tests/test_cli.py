@@ -66,6 +66,19 @@ def test_evolve(capsys):
     assert result["period"] >= 1
 
 
+def test_evolve_reduces_seeds_mod_p(capsys):
+    base = ["evolve", "--p", "5", "--a", "4", "--delta", "2", "--z0", "2",
+            "--steps", "30"]
+    _, reduced = run_json(capsys, *base, "--u0", "2", "--u1", "2")
+    for u0, u1 in ((7, 2), (-3, 7)):
+        code, payload = run_json(capsys, *base, "--u0", str(u0),
+                                 "--u1", str(u1))
+        assert code == 0
+        assert (payload["params"]["u0"], payload["params"]["u1"]) == (u0, u1)
+        payload["params"] = reduced["params"]
+        assert payload == reduced
+
+
 @pytest.mark.parametrize("argv,period", [
     (("--p", "13", "--a", "7", "--delta", "10", "--z0", "10",
       "--u0", "3", "--u1", "5", "--steps", "60"), 52),
@@ -271,6 +284,24 @@ def test_usage_errors_exit_two(capsys):
               "--z0", "3", "--u0", "1", "--u1", "2"])   # above MAX_EVOLVE_PRIME
     assert exc.value.code == 2
     assert "evolve is guarded to p <= 65536" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "--p", "5", "--a", "1", "--delta", "2", "--z0", "3",
+              "--u0", "1", "--u1", "2", "--steps", "1000001"])
+    assert exc.value.code == 2   # above MAX_EVOLVE_STEPS
+    assert "evolve is guarded to --steps <= 1000000" in capsys.readouterr().err
+    tau_orbit = ["tau-orbit", "--lambda", "1"]
+    for argv, message in (
+            (["--p", "65537", "--N", "3"], "p <= 65536"),   # MAX_EVOLVE_PRIME
+            (["--p", "5", "--N", "3", "--count", "131073"],
+             "--count <= 131072"),                          # 2 * that prime
+            (["--p", "5", "--N", "17"], "--N <= 16")):      # MAX_TAU_N
+        with pytest.raises(SystemExit) as exc:
+            main(tau_orbit + argv)
+        assert exc.value.code == 2
+        assert ("tau-orbit is guarded to " + message
+                in capsys.readouterr().err)
+    assert main(tau_orbit + ["--p", "5", "--N", "16", "--count", "2"]) == 0
+    capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(["agr-scan", "--map", "custom", "--expr-x", "1/x", "--expr-y",
               "x", "--p", "5", "--max-steps", "1001"])   # above MAX_SCAN_STEPS

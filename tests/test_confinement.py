@@ -19,6 +19,7 @@ from dp2fp import (
     build_dp2_params,
     confine,
     degree_limit,
+    dp2_fp_pattern,
     reduce_proj,
     sample_images,
     verify_confinement_samples,
@@ -239,10 +240,8 @@ class TestPathologicalRegime:
 
         # the perturbation engine and the seven-case pattern still agree
         # on the record's emitted values
-        from dp2fp import FpState, dp2_fp_pattern
-        out = dp2_fp_pattern(
-            FpState(FpProj(3, rec.y_residue), FpProj(3, 2), rec.n), params)
-        assert list(out.emitted) == rec.report.x_trace
+        emitted = dp2_fp_pattern(params)(rec.y_residue, 2, rec.n)
+        assert list(emitted) == [v.residue for v in rec.report.x_trace]
 
 
 class TestScan:
