@@ -18,7 +18,6 @@ success, 1 on domain errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -26,12 +25,28 @@ import sys
 from fractions import Fraction
 from itertools import chain, islice
 
-from . import confinement, fpdynamics, tau
 from .errors import Dp2Error
-from .maps import (DP2Map, QRTMap, QRTParams, build_dp2_params,
-                   dp2_scalar_residual)
-from .mapexpr import CustomMap
 from .padic import check_odd_prime, parse_rational, reduce_proj
+
+# At import this module loads only what every subcommand uses: argparse,
+# json, errors and padic.  Each subcommand imports the engine modules it
+# runs, so a request loads those alone.
+
+# The largest prime ``evolve`` and ``tau-orbit`` take.  The period search
+# keeps about 4p states; at p = 65521 an ``evolve`` process peaks at 76 MB.
+MAX_EVOLVE_PRIME = 1 << 16
+
+# The largest ``--steps`` ``evolve`` takes.  Every value is kept and
+# written; at p = 5, 10^6 steps take 1.1 s, peak at 153 MB and write 11 MB
+# of JSON.
+MAX_EVOLVE_STEPS = 10 ** 6
+
+# The largest solution index N ``tau-orbit`` takes; its prime obeys
+# MAX_EVOLVE_PRIME and its count 2 * MAX_EVOLVE_PRIME.  A value costs an
+# N x N and an (N+1) x (N+1) determinant; at p = 101 with the default
+# count 2p, N = 10 takes 0.8 s and N = 16 takes 4.5 s, and at p = 65521
+# one value costs about 17 ms at N = 16.
+MAX_TAU_N = 16
 
 
 def _rational(text: str) -> Fraction:
@@ -89,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("tau-orbit",
                         help="reduced determinant solution with diagnostics")
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--N", type=int, required=True)
+    sp.add_argument("--N", type=_at_least(1), required=True)
     sp.add_argument("--lambda", dest="lam", type=_rational, required=True)
     sp.add_argument("--count", type=_at_least(0), default=None,
                     help="sequence length (default 2p)")
@@ -141,13 +156,14 @@ def _residue_text(value) -> str:
 def _cmd_evolve(args, parser):
     """The first --steps values, then the same orbit continued until a
     state repeats, for the period; every value is computed once."""
+    from . import fpdynamics
+    from .maps import build_dp2_params
+
     check_odd_prime(args.p)
-    if args.p > confinement.MAX_EVOLVE_PRIME:
-        parser.error(
-            f"evolve is guarded to p <= {confinement.MAX_EVOLVE_PRIME}")
-    if args.steps > confinement.MAX_EVOLVE_STEPS:
-        parser.error(
-            f"evolve is guarded to --steps <= {confinement.MAX_EVOLVE_STEPS}")
+    if args.p > MAX_EVOLVE_PRIME:
+        parser.error(f"evolve is guarded to p <= {MAX_EVOLVE_PRIME}")
+    if args.steps > MAX_EVOLVE_STEPS:
+        parser.error(f"evolve is guarded to --steps <= {MAX_EVOLVE_STEPS}")
     params = build_dp2_params(args.p, args.a, args.delta, args.z0)
     values = fpdynamics.iterate_dp2_residues(args.u0, args.u1, params)
     orbit = list(islice(values, args.steps))
@@ -163,16 +179,20 @@ def _first_finite_pair(residues):
 
 
 def _cmd_tau_orbit(args, parser):
+    from . import fpdynamics, tau
+    from .maps import build_dp2_params
+
     check_odd_prime(args.p)
-    if args.p > confinement.MAX_EVOLVE_PRIME:
-        parser.error(
-            f"tau-orbit is guarded to p <= {confinement.MAX_EVOLVE_PRIME}")
+    if args.p > MAX_EVOLVE_PRIME:
+        parser.error(f"tau-orbit is guarded to p <= {MAX_EVOLVE_PRIME}")
     count = args.count if args.count is not None else 2 * args.p
-    if count > 2 * confinement.MAX_EVOLVE_PRIME:
-        parser.error("tau-orbit is guarded to --count <= "
-                     f"{2 * confinement.MAX_EVOLVE_PRIME}")
-    if args.N > confinement.MAX_TAU_N:
-        parser.error(f"tau-orbit is guarded to --N <= {confinement.MAX_TAU_N}")
+    if count > 2 * MAX_EVOLVE_PRIME:
+        parser.error(
+            f"tau-orbit is guarded to --count <= {2 * MAX_EVOLVE_PRIME}")
+    if args.N > MAX_TAU_N:
+        parser.error(f"tau-orbit is guarded to --N <= {MAX_TAU_N}")
+    if args.lam == 0:
+        parser.error("tau-orbit needs a nonzero --lambda")
     params = tau.TauParams(N=args.N, lam=args.lam)
     residues = [v.residue for v in tau.reduced_solution(params, args.p, count)]
     cond = tau.taucond(params, args.p)
@@ -194,6 +214,8 @@ def _cmd_tau_orbit(args, parser):
 
 
 def _build_scan_family(args, parser):
+    from .maps import DP2Map, QRTMap, QRTParams, build_dp2_params
+
     if args.map == "dp2":
         if None in (args.a, args.delta, args.z0):
             parser.error("agr-scan --map dp2 needs --a, --delta and --z0")
@@ -206,10 +228,13 @@ def _build_scan_family(args, parser):
         return QRTMap(QRTParams(p=args.p, gamma=args.gamma, a=int(args.a)))
     if args.expr_x is None or args.expr_y is None:
         parser.error("agr-scan --map custom needs --expr-x and --expr-y")
+    from .mapexpr import CustomMap
     return CustomMap(args.expr_x, args.expr_y, args.p, dict(args.param))
 
 
 def _cmd_agr_scan(args, parser):
+    from . import confinement
+
     check_odd_prime(args.p)
     if args.p > confinement.MAX_SCAN_PRIME:
         parser.error(
@@ -247,6 +272,8 @@ def _cmd_reduce(args):
 
 
 def _cmd_solve_check(args):
+    from .maps import dp2_scalar_residual
+
     residuals = []
     indices = []
     skipped = []
@@ -266,6 +293,8 @@ def _cmd_solve_check(args):
 
 
 def _csv_text(command: str, result: dict) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if command in ("evolve", "tau-orbit"):

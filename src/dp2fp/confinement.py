@@ -238,22 +238,6 @@ MAX_SCAN_PRIME = 101
 # 0.3 s and writes 69 kB of JSON.
 MAX_SCAN_STEPS = 1000
 
-# The largest prime ``evolve`` and ``tau-orbit`` take.  The period search
-# keeps about 4p states; at p = 65521 an ``evolve`` process peaks at 76 MB.
-MAX_EVOLVE_PRIME = 1 << 16
-
-# The largest ``--steps`` ``evolve`` takes.  Every value is kept and
-# written; at p = 5, 10^6 steps take 1.1 s, peak at 153 MB and write 11 MB
-# of JSON.
-MAX_EVOLVE_STEPS = 10 ** 6
-
-# The largest solution index N ``tau-orbit`` takes; its prime obeys
-# MAX_EVOLVE_PRIME and its count 2 * MAX_EVOLVE_PRIME.  A value costs an
-# N x N and an (N+1) x (N+1) determinant; at p = 101 with the default
-# count 2p, N = 10 takes 0.8 s and N = 16 takes 4.5 s, and at p = 65521
-# one value costs about 17 ms at N = 16.
-MAX_TAU_N = 16
-
 
 def agr_scan(map_family, max_steps: int = 30) -> ScanResult:
     """Run confinement at every reduced singular point of the family.

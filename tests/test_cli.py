@@ -14,6 +14,9 @@ from dp2fp import cli
 from dp2fp.cli import main
 
 SRC = str(Path(dp2fp.__file__).resolve().parents[1])
+# The environment of a fresh interpreter that imports this checkout.
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 def run(capsys, *argv):
@@ -195,11 +198,9 @@ def test_p_divides_a_scans_have_agr(capsys, p, a, delta, z0, digest):
     ("agr-scan", "--map", "qrt", "--gamma", "3", "--p", "5", "--a", "2"),
 ])
 def test_output_is_the_same_under_python_O(argv):
-    paths = [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     outputs = [
         subprocess.run([sys.executable, *flags, "-m", "dp2fp.cli", *argv],
-                       env=env, capture_output=True, check=True,
+                       env=ENV, capture_output=True, check=True,
                        timeout=120).stdout
         for flags in ((), ("-O",))]
     assert json.loads(outputs[0])["errors"] == []
@@ -303,6 +304,11 @@ def test_usage_errors_exit_two(capsys):
     assert main(tau_orbit + ["--p", "5", "--N", "16", "--count", "2"]) == 0
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
+        main(["tau-orbit", "--p", "5", "--N", "3", "--lambda", "0"])
+    assert exc.value.code == 2
+    assert ("tau-orbit needs a nonzero --lambda"
+            in capsys.readouterr().err)
+    with pytest.raises(SystemExit) as exc:
         main(["agr-scan", "--map", "custom", "--expr-x", "1/x", "--expr-y",
               "x", "--p", "5", "--max-steps", "1001"])   # above MAX_SCAN_STEPS
     assert exc.value.code == 2
@@ -319,7 +325,9 @@ def test_usage_errors_exit_two(capsys):
     for argv in (qrt + ["--max-steps", "0"], qrt + ["--max-steps", "-3"],
                  evolve + ["--steps", "-4"],
                  ["tau-orbit", "--p", "5", "--N", "3", "--lambda", "1",
-                  "--count", "-3"]):
+                  "--count", "-3"],
+                 tau_orbit + ["--p", "5", "--N", "0"],
+                 tau_orbit + ["--p", "5", "--N", "-2"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -364,13 +372,53 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
 
 
 def test_parser_is_not_built_at_import():
-    paths = [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     out = subprocess.run(
         [sys.executable, "-c",
          "import dp2fp.cli as c; print(c._parser.cache_info().currsize)"],
-        env=env, capture_output=True, check=True, text=True, timeout=60)
+        env=ENV, capture_output=True, check=True, text=True, timeout=60)
     assert out.stdout == "0\n"
+
+
+# Prints the dp2fp modules, and csv if loaded, after ``import dp2fp.cli``
+# and one request with the given arguments (none: no request).
+LOADED_PROBE = """
+import os, sys
+from dp2fp import cli
+if sys.argv[1:] and cli.main(sys.argv[1:] + ["--out", os.devnull]) != 0:
+    sys.exit("the request failed")
+print(*sorted(m for m in sys.modules if m.startswith("dp2fp") or m == "csv"))
+"""
+
+FRONT_END = {"dp2fp", "dp2fp.cli", "dp2fp.errors", "dp2fp.padic"}
+SCAN = {"confinement", "maps", "epsfield"}
+ORBIT = {"maps", "epsfield", "fpdynamics"}
+
+
+@pytest.mark.parametrize("argv, loads", [
+    ((), set()),
+    (("reduce", "--p", "5", "--value", "1/5"), set()),
+    (("reduce", "--p", "5", "--value", "1/5", "--format", "csv"), {"csv"}),
+    (("solve-check", "--a=-8", "--delta", "2", "--z0", "2", "3", "1/2",
+      "-11"), {"maps", "epsfield"}),
+    (("agr-scan", "--map", "dp2", "--p", "5", "--a", "4", "--delta", "2",
+      "--z0", "2"), SCAN),
+    (("agr-scan", "--map", "qrt", "--gamma", "2", "--a", "1", "--p", "5"),
+     SCAN),
+    (("agr-scan", "--map", "custom", "--expr-x", "1/x", "--expr-y", "x",
+      "--p", "5"), SCAN | {"mapexpr"}),
+    (("evolve", "--p", "5", "--a", "4", "--delta", "2", "--z0", "2",
+      "--u0", "3", "--u1", "2"), ORBIT),
+    (("tau-orbit", "--p", "5", "--N", "3", "--lambda", "1"),
+     ORBIT | {"tau"}),
+    (("tau-orbit", "--p", "5", "--N", "3", "--lambda", "1", "--format",
+      "csv"), ORBIT | {"tau", "csv"}),
+])
+def test_each_command_loads_only_its_modules(argv, loads):
+    out = subprocess.run(
+        [sys.executable, "-c", LOADED_PROBE, *argv], env=ENV,
+        capture_output=True, check=True, text=True, timeout=60)
+    expected = FRONT_END | {m if m == "csv" else "dp2fp." + m for m in loads}
+    assert set(out.stdout.split()) == expected
 
 
 def test_invalid_prime_is_domain_error(capsys):
